@@ -3,8 +3,9 @@
 The batch pipeline (``Medium.broadcast`` with ``vectorized=True``, the
 default) replaces the per-receiver scalar loop — position lookup,
 distance, delivery roll, acceptance check, one kernel event per receiver
-— with four batch stages: a cached struct-packed candidate gather
-(**query**), one distances-probabilities-rolls array pass
+— with four batch stages: one neighbour-table build per stamp that
+resolves every sender's receivers at once (**query**), one
+probabilities-and-rolls pass over each sender's table row
 (**probability**), one ``accepts_mask`` call per concrete radio class
 (**acceptance**), and a single pooled ``_BatchDelivery`` event per
 transmission whose side effects run in attach order (**delivery**).
@@ -86,8 +87,9 @@ class StageTimedMedium(Medium):
 
     Lives in benchmarks/ (outside the DET lint tree) on purpose: the
     production medium never reads the wall clock.  Each override brackets
-    exactly one stage — query (``_cell_batch``), probability
-    (``_delivery_mask``), acceptance (``_acceptance_mask``, covering both
+    exactly one stage — query (``_build_table``, the neighbour-table
+    build), probability (``_delivery_mask``, per-row resolution),
+    acceptance (``_acceptance_mask``, covering both
     the broadcast pre-filter and the delivery-time re-check), and
     delivery side effects (``_deliver_masked``) — so the four buckets are
     disjoint and their sum lower-bounds the end-to-end total.
@@ -102,10 +104,10 @@ class StageTimedMedium(Medium):
             "delivery": 0.0,
         }
 
-    def _cell_batch(self, *args):
+    def _build_table(self, *args):
         tick = time.perf_counter()
         try:
-            return super()._cell_batch(*args)
+            return super()._build_table(*args)
         finally:
             self.stage_s["query"] += time.perf_counter() - tick
 
@@ -235,7 +237,7 @@ def test_vectorized_pipeline_beats_scalar(monkeypatch: pytest.MonkeyPatch):
     assert all(stages[name] > 0.0 for name in
                ("query", "probability", "acceptance", "delivery"))
     assert sum(stages.values()) <= staged_s
-    assert staged.batch_cache_hits > 0  # same-cell senders shared gathers
+    assert staged.batch_cache_hits > 0  # same-stamp senders shared a table
 
     # The full engine agrees end-to-end: scalar serial, vectorized serial,
     # and 4-way sharded runs of the same spec digest identically.

@@ -431,6 +431,17 @@ class TimeAwareGridIndex:
         return len(self._mobility)
 
     @property
+    def has_movers(self) -> bool:
+        """True when any indexed item has a non-static mobility model.
+
+        While False, every item's position is constant between mutations
+        (:meth:`insert`/:meth:`remove`/:meth:`update`), so caches derived
+        from positions may be keyed on the mutation sequence alone rather
+        than on the query time.
+        """
+        return bool(self._mobility)
+
+    @property
     def roaming_count(self) -> int:
         """Movers on the legacy every-query scan (no finite bound at all).
 

@@ -23,39 +23,45 @@ Vectorized broadcast and the batch delivery pipeline
 By default (``vectorized=True``) a broadcast runs in four batch stages,
 each a separately overridable seam:
 
-1. **query** — :meth:`Medium._cell_batch` returns every candidate with
-   its position as struct-packed parallel arrays, cached per (technology,
-   grid cell) within one (timestamp, attach/move version) so a beacon
-   round's many same-cell senders share one gather + attach-order sort
-   (hit/miss counts in ``batch_cache_hits``/``batch_cache_misses``).
-2. **probability** — :meth:`Medium._delivery_mask` computes distances,
-   delivery probabilities, and the RNG delivery rolls in one numpy pass
-   (or a pure-Python twin when numpy is absent — bit-identical by the
-   :mod:`repro.util.array` contract).
+1. **query** — :meth:`Medium._build_table` resolves *every* radio's
+   receivers at once: one neighbour table per technology, built from a
+   single sorted cell-pair join over all attached radios and stored as
+   CSR rows (ascending attach order, sender excluded, distances within
+   the model's cutoff).  A table stays valid for one (timestamp,
+   attach/move version) stamp — or for the version alone while the
+   technology has no moving radios — so a beacon round's senders share
+   one build (reuse/build counts in ``batch_cache_hits`` /
+   ``batch_cache_misses``).  Without numpy the query is
+   :meth:`Medium._cell_batch`, a per-(technology, grid cell) gather on
+   the same stamp, counted the same way.
+2. **probability** — :meth:`Medium._delivery_mask` turns one sender's
+   row of distances into delivery decisions, drawing the RNG delivery
+   rolls in one numpy pass (or a pure-Python twin when numpy is absent —
+   bit-identical by the :mod:`repro.util.array` contract).
 3. **acceptance** — :meth:`Medium._acceptance_mask` asks each concrete
    radio class for one ``accepts_mask`` over its receivers instead of N
-   virtual ``_accepts_frame`` calls; acceptance draws no RNG, so the
-   mask order is free and only the delivery side effects below are
-   order-sensitive.
+   virtual ``_accepts_frame`` calls, cached per (timestamp, acceptance
+   version, frame kind) for version-covered classes; acceptance draws no
+   RNG, so the mask order is free and only the delivery side effects
+   below are order-sensitive.
 4. **delivery** — all of a transmission's arrivals are scheduled as a
    single pooled :class:`_BatchDelivery` event whose delivery-time
    re-check is the same acceptance mask, with ``_deliver`` side effects
    running in ascending attach order over it.
 
-The cache's candidate set is slightly larger than a per-origin query (it
-covers the whole cell); by the exactness invariant above the extra
-candidates have delivery probability 0 and change nothing.
-
 The RNG draw-order contract (see :mod:`repro.phy.propagation`) is what
 keeps all of this byte-identical to the scalar loop: one uniform draw per
 candidate with ``0 < p < 1``, consumed in ascending attach order with the
 sender excluded — exactly the draws, and the order, of the scalar path.
+A row holds every radio within the model's cutoff, and beyond the cutoff
+the model gives probability 0 (no frame, no draw), so rows lose nothing
+the scalar loop could observe.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.phy.geometry import Position
@@ -79,10 +85,18 @@ DEFAULT_RANGES = {
 #: Propagation delay is negligible at D2D ranges; modeled as a constant.
 PROPAGATION_DELAY_S = 5e-6
 
-#: Packs a (cell_x, cell_y) pair into one int64 cell id for the per-stamp
-#: binned gather (see Medium._kind_arrays): ids of one x-column are
+#: Packs a (cell_x, cell_y) pair into one int64 cell id for the neighbour
+#: table's join (see Medium._build_table): ids of one x-column are
 #: contiguous, so a column's y-range is a single sorted-array slice.
 _CELL_STRIDE = 1 << 32
+
+#: Most candidate pairs one column chunk of the neighbour table's join
+#: may hold, so each of the chunk's temporaries is at most 128 KiB.
+#: Measured on a dense 2k-node beacon flood: unchunked, the multi-MB
+#: temporaries left the allocator's heap fragmented and raised the
+#: process's peak memory by about 10 MB; chunked, it matches the
+#: per-cell gather this join replaced.
+_JOIN_CANDIDATES = 1 << 14
 
 
 class _MIXED:
@@ -167,50 +181,52 @@ class _BatchDelivery:
 
 
 class _CellBatch:
-    """Cached candidate arrays for every sender in one grid cell.
+    """Cached candidate lists for every sender in one grid cell.
 
-    ``radios`` is attach-order sorted; ``xs``/``ys`` are the matching
-    coordinates (ndarray under numpy, lists otherwise) and ``seqs`` the
-    matching ascending ``_medium_seq`` list used to locate the sender by
-    binary search.  ``accept_cache`` memoises the batch-wide acceptance
-    pre-filter for version-covered radio classes as ``(accept_version,
-    frame_kind, mask, all_true)`` — every same-cell sender at one stamp
-    shares one mask instead of recomputing it per broadcast.
+    The numpy-free query stage: ``radios`` is attach-order sorted and
+    ``xs``/``ys`` are the matching coordinates.  ``accept`` memoises the
+    stamp-scoped acceptance pre-filter (see Medium._stamp_acceptance).
     """
 
-    __slots__ = (
-        "radios", "xs", "ys", "seqs", "robj", "accept_cache", "scratch",
-        "rowmap", "rows", "dmat", "posmap",
-    )
+    __slots__ = ("radios", "xs", "ys", "accept")
 
-    def __init__(self, radios, xs, ys, seqs) -> None:
+    def __init__(self, radios, xs, ys) -> None:
         self.radios = radios
         self.xs = xs
         self.ys = ys
-        self.seqs = seqs
-        # Under numpy, the same radios as a 1-D object ndarray: lets the
-        # broadcast path gather one transmission's receivers with a
-        # boolean fancy-index + tolist (both C loops) instead of a
-        # per-position Python list comprehension.
-        self.robj = None
-        self.accept_cache = None
-        # Lazily-allocated ndarray work buffers for _delivery_mask (two
-        # float64 + one bool, batch-sized): every same-cell sender reuses
-        # them, so the per-broadcast array pass allocates nothing.
-        self.scratch = None
-        # In-cell sender rows (numpy path only): ``rowmap`` maps a batch
-        # position whose radio sits inside this batch's cell to a row of
-        # ``dmat``, the lazily-built (in-cell × batch) distance matrix.
-        # Every same-cell sender's distance pass then collapses to one
-        # row lookup; ``dmat`` entries use the exact scalar formula
-        # elementwise, so the row is bit-identical to a direct compute.
-        self.rowmap = None
-        self.rows = None
-        self.dmat = None
-        # Global array index → batch position, for the in-cell members
-        # only — the radios that can *send* through this batch.  Lets a
-        # broadcast locate its sender in O(1) instead of a binary search.
-        self.posmap = None
+        self.accept = None
+
+
+class _NeighbourTable:
+    """Every in-range (sender, receiver) pair of one kind at one stamp.
+
+    The numpy query stage.  ``radios`` is the kind's registry in attach
+    order and ``index_of`` maps ``_medium_seq`` to a registry index.  Row
+    ``g`` — entries ``indptr[g]:indptr[g + 1]`` — lists the radios within
+    cutoff of ``radios[g]`` in ascending attach order, ``g`` itself
+    excluded: ``nbrs`` holds their registry indices and ``distances``
+    the exact scalar-formula distances (ndarrays; ``robj`` is the
+    registry as an object array, so a row's radios are one fancy index).
+    Rows stay arrays rather than stamp-wide Python lists: the lists would
+    cost a dense beacon flood several MB of peak memory.  ``key`` is the
+    validity stamp (see Medium._neighbour_table) and ``accept`` the
+    stamp-scoped acceptance pre-filter.
+    """
+
+    __slots__ = (
+        "key", "radios", "robj", "index_of", "indptr", "nbrs", "distances",
+        "accept",
+    )
+
+    def __init__(self, key, radios, robj, index_of) -> None:
+        self.key = key
+        self.radios = radios
+        self.robj = robj
+        self.index_of = index_of
+        self.indptr: List[int] = []
+        self.nbrs = None
+        self.distances = None
+        self.accept = None
 
 
 class Medium:
@@ -242,8 +258,9 @@ class Medium:
         # Deliveries heard by halo mirror receivers (sharded execution):
         # counted within frames_delivered too, broken out for shard stats.
         self.frames_cross_shard = 0
-        #: Candidate-batch cache outcomes, alongside the frame counters: a
-        #: hit means a same-cell sender reused another's gather this stamp.
+        #: Query-stage cache outcomes, alongside the frame counters: a hit
+        #: means a sender reused its kind's neighbour table (numpy-free:
+        #: its cell's candidate batch), a miss that it built one.
         self.batch_cache_hits = 0
         self.batch_cache_misses = 0
         # Spatial index: one grid per technology with a hard range cutoff.
@@ -253,15 +270,16 @@ class Medium:
         self._attach_seq = 0
         self._grids: Dict[RadioKind, Optional[TimeAwareGridIndex]] = {}
         self._node_radios: Dict[WorldNode, List[Radio]] = {}
-        # Per-(kind, cell) candidate batches, valid for one (timestamp,
-        # attach/move version) — see _cell_batch.
+        # Bumped by every attach/detach/move: part of every query-stage
+        # cache key.
+        self._batch_version = 0
+        # The current neighbour table per kind (numpy) — see
+        # _neighbour_table.
+        self._tables: Dict[RadioKind, _NeighbourTable] = {}
+        # Per-(kind, cell) candidate batches (numpy-free), valid for one
+        # (timestamp, attach/move version) — see _cell_batch.
         self._batch_cache: Dict[Tuple[RadioKind, Tuple[int, int]], _CellBatch] = {}
         self._batch_stamp: Tuple[float, int] = (-1.0, -1)
-        self._batch_version = 0
-        # Per-stamp, per-kind position arrays over every attached radio,
-        # cell-binned for the batch gather — see _kind_arrays.  Shares
-        # the batch cache's (timestamp, version) validity.
-        self._stamp_arrays: Dict[RadioKind, tuple] = {}
         # Recycled delivery-event shells (see _Delivery/_BatchDelivery):
         # bounded by the peak number of in-flight arrivals.
         self._delivery_pool: List[_Delivery] = []
@@ -384,41 +402,77 @@ class Medium:
         candidates.sort(key=_attach_order)
         return candidates
 
-    def _ensure_stamp(self) -> float:
-        """Roll the per-stamp caches to the current (clock, version) tick.
+    def _neighbour_table(
+        self, kind: RadioKind, grid: TimeAwareGridIndex, cutoff: float
+    ) -> _NeighbourTable:
+        """Query stage lookup: ``kind``'s neighbour table for this stamp.
 
-        The candidate-batch cache and the per-kind position arrays share
-        one validity stamp: any clock advance or attach/detach/move
-        invalidates both wholesale.  Returns the current clock.
+        A table is keyed on ``(now, version, cutoff)`` while ``kind`` has
+        moving radios and on ``(version, cutoff)`` alone while it has
+        none: every position change of a static radio goes through
+        ``move_to``/``set_mobility`` → :meth:`_node_moved`, which bumps
+        the version, so a mover-free table stays exact across stamps.
+        Numpy path only.
         """
         now = self.kernel.now
-        stamp = self._batch_stamp
-        if stamp[0] != now or stamp[1] != self._batch_version:
-            self._batch_cache.clear()
-            self._stamp_arrays.clear()
-            self._batch_stamp = (now, self._batch_version)
-        return now
+        key = (now if grid.has_movers else None, self._batch_version, cutoff)
+        table = self._tables.get(kind)
+        if table is not None and table.key == key:
+            self.batch_cache_hits += 1
+            return table
+        self.batch_cache_misses += 1
+        # Drop the stale table before building: only its registry (valid
+        # while the version holds) carries over.
+        registry = None
+        if table is not None:
+            del self._tables[kind]
+            if table.key[1] == key[1]:
+                registry = (table.radios, table.robj, table.index_of)
+            table = None
+        table = self._build_table(kind, grid.cell_size, cutoff, now, key,
+                                  registry)
+        self._tables[kind] = table
+        return table
 
-    def _kind_arrays(self, kind: RadioKind, size: float, now: float):
-        """Per-stamp struct-of-arrays over every attached radio of ``kind``.
+    def _build_table(
+        self,
+        kind: RadioKind,
+        size: float,
+        cutoff: float,
+        now: float,
+        key: tuple,
+        registry: Optional[tuple],
+    ) -> _NeighbourTable:
+        """Query stage: every radio's receivers from one sorted cell-pair join.
 
-        One position pass per stamp (``position_at(now)`` — the same pure
+        Positions come from one ``position_at(now)`` pass — the same pure
         function, hence the same float64s, the scalar path reads through
-        ``node.position``) feeds every cell batch of the stamp.  Radios
-        are listed in attach order, so index order *is* ascending
-        ``_medium_seq`` order.  Returns ``(radios, xs, ys, robj, seqs,
-        order, sorted_cid, index_of)`` where ``order`` sorts radios by
-        packed cell id (stable, so attach order survives within a cell),
-        ``sorted_cid`` is the matching sorted id array — together they
-        make one cell-column gather a pair of binary searches — and
-        ``index_of`` maps ``_medium_seq`` back to array index.  Numpy
-        path only; call through :meth:`_ensure_stamp` first.
+        ``node.position``.  Radios are binned by packed cell id (stable
+        sort, so attach order survives within a cell).  For each column
+        offset, one ``searchsorted`` over a block of senders gives each
+        sender's candidate span: the cells of that column within ``span``
+        rows of its own, where ``span = floor(cutoff/size) + 1`` keeps a
+        cell of margin over any pair at distance ``cutoff`` (float
+        rounding of ``x/size`` can move a coordinate across a cell edge,
+        never by a whole cell).  Each column's candidates are trimmed to
+        distance ``<= cutoff``, sender excluded, before anything is
+        joined; a block's pairs sorted by (sender, receiver) index are
+        its CSR rows, and blocks are in sender order.  Blocks are sized
+        from the most crowded cell so no chunk exceeds
+        ``_JOIN_CANDIDATES``.
         """
-        entry = self._stamp_arrays.get(kind)
-        if entry is not None:
-            return entry
         np = array.numpy
-        radios = self._radios[kind]
+        if registry is None:
+            radios = list(self._radios[kind])
+            robj = np.empty(len(radios), dtype=object)
+            robj[:] = radios
+            registry = (
+                radios, robj,
+                {radio._medium_seq: i for i, radio in enumerate(radios)},
+            )
+        table = _NeighbourTable(key, *registry)
+        radios = table.radios
+        count = len(radios)
         xs_list: List[float] = []
         ys_list: List[float] = []
         append_x = xs_list.append
@@ -429,23 +483,68 @@ class Medium:
             append_y(point.y)
         xs = np.asarray(xs_list, dtype=np.float64)
         ys = np.asarray(ys_list, dtype=np.float64)
-        robj = np.empty(len(radios), dtype=object)
-        robj[:] = radios
-        seqs = np.asarray(
-            [radio._medium_seq for radio in radios], dtype=np.int64
-        )
-        index_of = {
-            radio._medium_seq: i for i, radio in enumerate(radios)
-        }
         cid = (
             np.floor(xs / size).astype(np.int64) * _CELL_STRIDE
             + np.floor(ys / size).astype(np.int64)
         )
         order = np.argsort(cid, kind="stable")
         sorted_cid = cid[order]
-        entry = (radios, xs, ys, robj, seqs, order, sorted_cid, index_of)
-        self._stamp_arrays[kind] = entry
-        return entry
+        sorted_xs = xs[order]
+        sorted_ys = ys[order]
+        index = np.arange(count)
+        span = math.floor(cutoff / size) + 1
+        # A sender's candidates in one column span 2·span + 1 cells, each
+        # holding at most the most crowded cell's population.
+        edges = np.flatnonzero(sorted_cid[1:] != sorted_cid[:-1]) + 1
+        crowd = max(1, int(np.diff(edges, prepend=0, append=count).max()))
+        step = max(1, _JOIN_CANDIDATES // ((2 * span + 1) * crowd))
+        senders = []
+        nbrs = []
+        dists = []
+        for first in range(0, count, step):
+            block = index[first:first + step]
+            block_cid = cid[first:first + step]
+            block_xs = xs[first:first + step]
+            block_ys = ys[first:first + step]
+            pieces = []
+            for column in range(-span, span + 1):
+                base = block_cid + column * _CELL_STRIDE
+                lo = np.searchsorted(sorted_cid, base - span)
+                hi = np.searchsorted(sorted_cid, base + span, side="right")
+                counts = hi - lo
+                src = np.repeat(block, counts)
+                if not src.size:
+                    continue
+                # Slot k of sender i's run is sorted position lo[i] + k -
+                # start[i], where start[i] (the run's first slot) is found
+                # by binary search in the already-sorted sender column.
+                start = np.searchsorted(src, block)
+                at = np.arange(src.size) + np.repeat(lo - start, counts)
+                dx = sorted_xs[at] - np.repeat(block_xs, counts)
+                dy = sorted_ys[at] - np.repeat(block_ys, counts)
+                distance = np.sqrt(dx * dx + dy * dy)
+                near = distance <= cutoff
+                src = src[near]
+                rcv = order[at[near]]
+                other = rcv != src
+                pieces.append((src[other], rcv[other], distance[near][other]))
+            if not pieces:
+                continue
+            src = np.concatenate([piece[0] for piece in pieces])
+            rcv = np.concatenate([piece[1] for piece in pieces])
+            perm = np.argsort(src * count + rcv, kind="stable")
+            senders.append(src[perm])
+            nbrs.append(rcv[perm])
+            dists.append(np.concatenate([piece[2] for piece in pieces])[perm])
+        if senders:
+            table.indptr = np.searchsorted(
+                np.concatenate(senders), np.arange(count + 1)
+            ).tolist()
+            table.nbrs = np.concatenate(nbrs)
+            table.distances = np.concatenate(dists)
+        else:
+            table.indptr = [0] * (count + 1)
+        return table
 
     def _cell_batch(
         self,
@@ -454,7 +553,7 @@ class Medium:
         origin: Position,
         cutoff: float,
     ) -> _CellBatch:
-        """Query stage: the cached candidate batch covering ``origin``'s cell.
+        """Numpy-free query stage: the cached batch covering ``origin``'s cell.
 
         One gather serves every same-cell sender at this timestamp.  The
         batch must contain every radio within ``cutoff`` of *any* origin
@@ -462,15 +561,17 @@ class Medium:
         cell center — and is free to contain more: by the exactness
         invariant (candidates beyond ``cutoff`` have delivery probability
         0, no frame, no draw) the surplus is unobservable in delivery
-        logs, so the two backends may even gather differently.  Under
-        numpy the gather is a column-slice scan of the per-stamp binned
-        arrays (:meth:`_kind_arrays`); the fallback queries the
-        time-aware grid.  Both trim to the disk that provably covers
-        every origin in the cell — ``cutoff + 0.75·size``, a safe margin
-        over the cell half-diagonal (``size·√2/2``).  Invalidated
-        whenever the clock advances or a radio attaches/detaches/moves.
+        logs.  The gather queries the time-aware grid and trims to the
+        disk that provably covers every origin in the cell — ``cutoff +
+        0.75·size``, a safe margin over the cell half-diagonal
+        (``size·√2/2``).  Invalidated whenever the clock advances or a
+        radio attaches/detaches/moves.
         """
-        now = self._ensure_stamp()
+        now = self.kernel.now
+        stamp = (now, self._batch_version)
+        if self._batch_stamp != stamp:
+            self._batch_cache.clear()
+            self._batch_stamp = stamp
         size = grid.cell_size
         cell = (math.floor(origin.x / size), math.floor(origin.y / size))
         key = (kind, cell)
@@ -481,73 +582,6 @@ class Medium:
         self.batch_cache_misses += 1
         center = Position((cell[0] + 0.5) * size, (cell[1] + 0.5) * size)
         reach = cutoff + 0.75 * size
-        np = array.numpy
-        if np is not None:
-            entry = self._kind_arrays(kind, size, now)
-            xs_all = entry[1]
-            ys_all = entry[2]
-            robj_all = entry[3]
-            seqs_all = entry[4]
-            order = entry[5]
-            sorted_cid = entry[6]
-            # Every cell whose box meets the required Chebyshev disk:
-            # offset d qualifies iff (d - 0.5)·size ≤ cutoff + 0.5·size.
-            span = math.floor(cutoff / size + 1.0)
-            pieces = []
-            lo_id = cell[1] - span
-            hi_id = cell[1] + span
-            for cx in range(cell[0] - span, cell[0] + span + 1):
-                base = cx * _CELL_STRIDE
-                lo = np.searchsorted(sorted_cid, base + lo_id)
-                hi = np.searchsorted(sorted_cid, base + hi_id, side="right")
-                if lo != hi:
-                    pieces.append(order[lo:hi])
-            if pieces:
-                idx = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-                idx = np.sort(idx)  # index order == ascending attach order
-                xs = xs_all[idx]
-                ys = ys_all[idx]
-                dxc = xs - center.x
-                dyc = ys - center.y
-                near = (dxc * dxc + dyc * dyc) <= reach * reach
-                if not near.all():
-                    idx = idx[near]
-                    xs = xs[near]
-                    ys = ys[near]
-                robj = robj_all[idx]
-                radios = robj.tolist()
-                seqs = seqs_all[idx]
-            else:
-                robj = robj_all[:0]
-                radios = []
-                seqs = seqs_all[:0]
-                xs = xs_all[:0]
-                ys = ys_all[:0]
-            batch = _CellBatch(radios, xs, ys, seqs)
-            batch.robj = robj
-            if radios:
-                # Mark the batch members that sit inside this cell —
-                # exactly the radios that can broadcast *from* this
-                # batch.  Their distance rows are precomputed in one
-                # pairwise pass on first use (_delivery_mask);
-                # misclassification here only routes a sender to the
-                # direct per-broadcast compute, never changes a value.
-                in_cell = (np.floor(xs / size) == cell[0]) & (
-                    np.floor(ys / size) == cell[1]
-                )
-                rows = np.nonzero(in_cell)[0]
-                if rows.size:
-                    batch.rows = rows
-                    batch.rowmap = {
-                        int(pos): row for row, pos in enumerate(rows)
-                    }
-                    in_cell_global = idx[rows].tolist()
-                    batch.posmap = {
-                        g: int(pos)
-                        for g, pos in zip(in_cell_global, rows.tolist())
-                    }
-            self._batch_cache[key] = batch
-            return batch
         arrays = grid.query_arrays(center, cutoff + 0.5 * size, now)
         items = arrays.items
         xs = arrays.xs
@@ -569,13 +603,57 @@ class Medium:
             xs = [xs[i] for i in keep]
             ys = [ys[i] for i in keep]
         order = array.argsort([radio._medium_seq for radio in items])
-        radios = [items[i] for i in order]
-        xs = [xs[i] for i in order]
-        ys = [ys[i] for i in order]
-        seqs = [radio._medium_seq for radio in radios]
-        batch = _CellBatch(radios, xs, ys, seqs)
+        batch = _CellBatch(
+            [items[i] for i in order],
+            [xs[i] for i in order],
+            [ys[i] for i in order],
+        )
         self._batch_cache[key] = batch
         return batch
+
+    def _row(
+        self,
+        sender: Radio,
+        grid: TimeAwareGridIndex,
+        cutoff: float,
+    ):
+        """``sender``'s receivers within ``cutoff``: the query-stage row.
+
+        Returns ``(receivers, distances, rows, holder)`` — the radios in
+        ascending attach order with the sender excluded, their distances,
+        their indices into ``holder.radios`` (the population the
+        stamp-scoped acceptance mask covers), and the holder itself — or
+        None when ``sender`` is missing from the registry (detached).
+        """
+        if array.numpy is not None:
+            table = self._neighbour_table(sender.kind, grid, cutoff)
+            g = table.index_of.get(sender._medium_seq)
+            if g is None:
+                return None
+            lo = table.indptr[g]
+            hi = table.indptr[g + 1]
+            if lo == hi:
+                return [], [], (), table
+            rows = table.nbrs[lo:hi]
+            return (table.robj[rows].tolist(), table.distances[lo:hi].tolist(),
+                    rows, table)
+        origin = sender.node.position
+        batch = self._cell_batch(sender.kind, grid, origin, cutoff)
+        receivers: List[Radio] = []
+        distances: List[float] = []
+        rows: List[int] = []
+        sqrt = math.sqrt
+        for pos, radio in enumerate(batch.radios):
+            if radio is sender:
+                continue
+            dx = batch.xs[pos] - origin.x
+            dy = batch.ys[pos] - origin.y
+            distance = sqrt(dx * dx + dy * dy)
+            if distance <= cutoff:
+                receivers.append(radio)
+                distances.append(distance)
+                rows.append(pos)
+        return receivers, distances, rows, batch
 
     def in_range(self, a: Radio, b: Radio) -> bool:
         """True if radios ``a`` and ``b`` are within their technology's range."""
@@ -587,20 +665,20 @@ class Medium:
     def reachable_from(self, sender: Radio) -> List[Radio]:
         """Enabled same-kind radios currently in range of ``sender``."""
         model = self.propagation[sender.kind]
-        origin = sender.node.position
         cutoff = model.max_range()
         grid = self._grids.get(sender.kind)
         if self.vectorized and grid is not None and cutoff is not None:
-            batch = self._cell_batch(sender.kind, grid, origin, cutoff)
-            distances = array.euclidean_distances(
-                origin.x, origin.y, batch.xs, batch.ys
-            )
-            mask = model.in_range_mask(distances)
-            return [
-                radio
-                for radio, hit in zip(batch.radios, mask)
-                if hit and radio is not sender and radio.enabled
-            ]
+            row = self._row(sender, grid, cutoff)
+            if row is not None:
+                receivers, distances = row[0], row[1]
+                return [
+                    radio
+                    for radio, hit in zip(
+                        receivers, model.in_range_mask(distances)
+                    )
+                    if hit and radio.enabled
+                ]
+        origin = sender.node.position
         return [
             radio
             for radio in self._candidates(sender.kind, origin, cutoff)
@@ -663,289 +741,111 @@ class Medium:
     ) -> int:
         """Vectorized broadcast: one batch pass per pipeline stage.
 
-        Byte-identical to :meth:`_broadcast_scalar`: the candidate surplus
-        from the cell-aligned batch is provably silent (p == 0 beyond
-        ``cutoff``), distances use the same correctly-rounded formula, and
-        RNG draws are spent per the draw-order contract — ascending attach
-        order over candidates with 0 < p < 1, sender excluded.
+        Byte-identical to :meth:`_broadcast_scalar`: the row holds every
+        receiver within ``cutoff`` (beyond it p == 0: no frame, no draw),
+        distances use the same correctly-rounded formula, and RNG draws
+        are spent per the draw-order contract — ascending attach order
+        over candidates with 0 < p < 1, sender excluded.
         """
-        np = array.numpy
-        if np is not None:
-            # The sender's position comes from the same per-stamp array
-            # pass that positioned the batch: position_at(now) is pure, so
-            # these are the very float64s ``sender.node.position`` would
-            # produce, without re-walking the mobility model.
-            now = self._ensure_stamp()
-            entry = self._kind_arrays(sender.kind, grid.cell_size, now)
-            xs_all = entry[1]
-            ys_all = entry[2]
-            gpos = entry[7].get(sender._medium_seq, -1)
-            if gpos >= 0:
-                origin = Position(float(xs_all[gpos]), float(ys_all[gpos]))
-            else:  # pragma: no cover - detached sender
-                origin = sender.node.position
-            batch = self._cell_batch(sender.kind, grid, origin, cutoff)
-            radios = batch.radios
-            if not radios:
-                return 0
-            posmap = batch.posmap
-            sender_pos = (
-                posmap.get(gpos, -1)
-                if posmap is not None and gpos >= 0
-                else -1
-            )
-            if sender_pos < 0:
-                # The O(1) map only covers in-cell members; a sender the
-                # batch holds but the map missed must still be excluded
-                # (RNG parity), so fall back to the binary search.
-                seqs = batch.seqs
-                sender_pos = int(np.searchsorted(seqs, sender._medium_seq))
-                if (
-                    sender_pos == len(seqs)
-                    or seqs[sender_pos] != sender._medium_seq
-                ):
-                    sender_pos = -1
-            delivered, distances = self._delivery_mask(
-                model, origin, batch, sender_pos
-            )
-            mono = self._mono_class.get(sender.kind)
-            ref = getattr(mono, "_accepts_versioned_ref", None)
-            if ref is not None and ref is getattr(mono, "_accepts_frame", None):
-                # Version-covered mono-class kind (the common case): one
-                # batch-wide pre-filter mask per (cell, stamp, version,
-                # frame kind) is shared by every same-cell sender, and the
-                # delivery-time re-check is elided while the version holds
-                # (see _execute_batch_delivery).
-                version = self._accept_version
-                cache = batch.accept_cache
-                if (
-                    cache is None
-                    or cache[0] != version
-                    or cache[1] is not frame.kind
-                ):
-                    full = np.asarray(
-                        self._acceptance_mask(
-                            radios, frame, self.kernel.now, mono
-                        ),
-                        dtype=bool,
-                    )
-                    cache = (version, frame.kind, full, bool(full.all()))
-                    batch.accept_cache = cache
-                sel = delivered if cache[3] else delivered & cache[2]
-                # Boolean fancy-index + tolist: both C loops, replacing
-                # the per-position Python gather.
-                receivers = batch.robj[sel].tolist()
-                if not receivers:
-                    return 0
-                distances_out = distances[sel].tolist()
-                accept_version = version
-            else:
-                candidates = batch.robj[delivered].tolist()
-                if not candidates:
-                    return 0
-                dists = distances[delivered].tolist()
-                mask = self._acceptance_mask(
-                    candidates, frame, self.kernel.now, mono
-                )
-                if all(mask):
-                    # Every candidate accepted — skip the filtered rebuild.
-                    receivers = candidates
-                    distances_out = dists
-                else:
-                    receivers = [c for c, hit in zip(candidates, mask) if hit]
-                    distances_out = [
-                        d for d, hit in zip(dists, mask) if hit
-                    ]
-                if not receivers:
-                    return 0
-                accept_version = -1
-            self._schedule_batch(
-                receivers, frame, distances_out,
-                frame.airtime + PROPAGATION_DELAY_S, accept_version,
-            )
-            return len(receivers)
-        origin = sender.node.position
-        batch = self._cell_batch(sender.kind, grid, origin, cutoff)
-        radios = batch.radios
-        if not radios:
+        row = self._row(sender, grid, cutoff)
+        if row is None:  # detached sender: not in the registry
+            return self._broadcast_scalar(sender, frame, model, cutoff)
+        receivers, distances, rows, holder = row
+        if not receivers:
             return 0
-        seqs = batch.seqs
-        sender_pos = bisect_left(seqs, sender._medium_seq)
-        if sender_pos == len(seqs) or seqs[sender_pos] != sender._medium_seq:
-            sender_pos = -1
-        positions, dists = self._delivery_mask(model, origin, batch, sender_pos)
-        if not positions:
-            return 0
+        keep = self._delivery_mask(model, distances)
         mono = self._mono_class.get(sender.kind)
         ref = getattr(mono, "_accepts_versioned_ref", None)
         if ref is not None and ref is getattr(mono, "_accepts_frame", None):
-            # Same versioned pre-filter as the numpy branch, in list form.
-            version = self._accept_version
-            cache = batch.accept_cache
-            if (
-                cache is None
-                or cache[0] != version
-                or cache[1] is not frame.kind
-            ):
-                full = self._acceptance_mask(
-                    radios, frame, self.kernel.now, mono
-                )
-                cache = (version, frame.kind, full, all(full))
-                batch.accept_cache = cache
-            if cache[3]:
-                # Everyone in the cell is listening (dense beacon
-                # rounds): the delivered positions are the receivers.
-                receivers = [radios[pos] for pos in positions]
-                distances_out = dists
-            else:
-                full = cache[2]
-                receivers = []
-                distances_out = []
-                for pos, dist in zip(positions, dists):
-                    if full[pos]:
-                        receivers.append(radios[pos])
-                        distances_out.append(dist)
-            accept_version = version
+            # Version-covered mono-class kind (the common case): one
+            # stamp-scoped pre-filter mask over the holder's population is
+            # shared by every sender, and the delivery-time re-check is
+            # elided while the version holds (see _execute_batch_delivery).
+            accepted = self._stamp_acceptance(holder, frame, mono)
+            if accepted is not None:
+                if array.numpy is not None:
+                    flags = accepted[rows].tolist()
+                else:
+                    flags = [accepted[pos] for pos in rows]
+                keep = flags if keep is None else [
+                    hit and ok for hit, ok in zip(keep, flags)
+                ]
+            accept_version = self._accept_version
         else:
-            candidates = [radios[pos] for pos in positions]
+            if keep is not None:
+                receivers = list(compress(receivers, keep))
+                if not receivers:
+                    return 0
+                distances = list(compress(distances, keep))
             mask = self._acceptance_mask(
-                candidates, frame, self.kernel.now, mono
+                receivers, frame, self.kernel.now, mono
             )
-            if all(mask):
-                # Every candidate accepted — skip the filtered rebuild.
-                receivers = candidates
-                distances_out = dists
-            else:
-                receivers = [c for c, hit in zip(candidates, mask) if hit]
-                distances_out = [d for d, hit in zip(dists, mask) if hit]
+            keep = None if all(mask) else mask
             accept_version = -1
-        if not receivers:
-            return 0
+        if keep is not None:
+            receivers = list(compress(receivers, keep))
+            if not receivers:
+                return 0
+            distances = list(compress(distances, keep))
         self._schedule_batch(
-            receivers, frame, distances_out,
+            receivers, frame, distances,
             frame.airtime + PROPAGATION_DELAY_S, accept_version,
         )
         return len(receivers)
 
     def _delivery_mask(
-        self,
-        model: PropagationModel,
-        origin: Position,
-        batch: _CellBatch,
-        sender_pos: int,
-    ):
-        """Probability stage: distances, probabilities, and delivery rolls.
+        self, model: PropagationModel, distances: Sequence[float]
+    ) -> Optional[List[bool]]:
+        """Probability stage: delivery decisions over one sender's row.
 
-        Decides which candidates the model (and, for ``0 < p < 1``, the
-        RNG) delivered the frame to, sender excluded.  RNG draws follow
-        the contract: ascending attach order (batch order *is* attach
-        order), one draw per candidate with fractional probability, none
-        for the sender.  Under numpy the result is ``(delivered,
-        distances)`` — a boolean mask and the full distance array, both
-        batch-parallel and both backed by per-batch scratch the caller
-        must consume before the next broadcast; the fallback returns the
-        delivered batch positions and their distances as lists.
+        ``distances`` is a row (ascending attach order, sender excluded,
+        every entry within the model's cutoff).  RNG draws follow the
+        contract: one draw per entry with fractional probability, in row
+        order.  Returns the per-entry delivered flags, or None when every
+        entry is delivered — always so under UnitDisk, whose cutoff is its
+        radius.
         """
+        if type(model) is UnitDisk:
+            return None
         np = array.numpy
-        if np is not None:
-            # Reuse per-batch scratch buffers: every ufunc below is the
-            # same correctly-rounded operation as its allocating form
-            # (out= changes where bits land, never which bits), and no
-            # buffer escapes — results leave only via .tolist() / fancy
-            # indexing, both of which copy.
-            scratch = batch.scratch
-            if scratch is None:
-                scratch = (
-                    np.empty_like(batch.xs),
-                    np.empty_like(batch.xs),
-                    np.empty(len(batch.xs), dtype=bool),
-                )
-                batch.scratch = scratch
-            dx, dy, delivered = scratch
-            rowmap = batch.rowmap
-            row = (
-                rowmap.get(sender_pos, -1)
-                if rowmap is not None and sender_pos >= 0
-                else -1
-            )
-            if row >= 0 and (
-                batch.xs[sender_pos] != origin.x
-                or batch.ys[sender_pos] != origin.y
-            ):
-                # The batch's stored position disagrees with the sender's
-                # live one (shouldn't happen under the stamp invariants,
-                # but routing is cheap to prove): use the direct compute.
-                row = -1
-            if row >= 0:
-                # In-cell sender: its distance row was (or is now)
-                # computed in the one pairwise pass shared by every
-                # sender in this cell.  Element [i, j] applies the exact
-                # scalar formula to the same float64 pair the direct
-                # compute below would read, so the row is bit-identical.
-                dmat = batch.dmat
-                if dmat is None:
-                    rxs = batch.xs[batch.rows]
-                    rys = batch.ys[batch.rows]
-                    ddx = rxs[:, None] - batch.xs[None, :]
-                    ddy = rys[:, None] - batch.ys[None, :]
-                    dmat = np.sqrt(ddx * ddx + ddy * ddy)
-                    batch.dmat = dmat
-                distances = dmat[row]
-            else:
-                np.subtract(batch.xs, origin.x, out=dx)
-                np.subtract(batch.ys, origin.y, out=dy)
-                np.multiply(dx, dx, out=dx)
-                np.multiply(dy, dy, out=dy)
-                np.add(dx, dy, out=dx)
-                distances = np.sqrt(dx, out=dx)
-            if type(model) is UnitDisk:
-                np.less_equal(distances, model.radius, out=delivered)
-            else:
-                ps = np.asarray(
-                    model.delivery_probabilities(distances), dtype=np.float64
-                )
-                np.greater_equal(ps, 1.0, out=delivered)
-                need_draw = (ps > 0.0) & ~delivered
-                if sender_pos >= 0:
-                    # Exclude the sender *before* drawing: a model may give
-                    # 0 < p < 1 even at distance 0, and the scalar loop
-                    # never rolls for the sender.
-                    need_draw[sender_pos] = False
-                draw_at = np.nonzero(need_draw)[0]
-                if draw_at.size:
-                    rng = self.rng
-                    draws = np.fromiter(
-                        (rng.random() for _ in range(draw_at.size)),
-                        dtype=np.float64,
-                        count=draw_at.size,
-                    )
-                    # Mirrors SeededRng.bernoulli: delivered iff u < p.
-                    delivered[draw_at] = draws < ps[draw_at]
-            if sender_pos >= 0:
-                delivered[sender_pos] = False
-            return delivered, distances
-        xs = batch.xs
-        ys = batch.ys
-        sqrt = math.sqrt
-        is_unit_disk = type(model) is UnitDisk
-        radius = model.radius if is_unit_disk else None
         rng = self.rng
-        positions: List[int] = []
-        dists: List[float] = []
-        for pos in range(len(xs)):
-            if pos == sender_pos:
-                continue
-            dx = xs[pos] - origin.x
-            dy = ys[pos] - origin.y
-            distance = sqrt(dx * dx + dy * dy)
-            if is_unit_disk:
-                if distance > radius:
-                    continue
-            elif not frame_delivered(model, distance, rng):
-                continue
-            positions.append(pos)
-            dists.append(distance)
-        return positions, dists
+        if np is None:
+            return [frame_delivered(model, d, rng) for d in distances]
+        ps = np.asarray(model.delivery_probabilities(distances),
+                        dtype=np.float64)
+        delivered = ps >= 1.0
+        draw_at = np.nonzero((ps > 0.0) & ~delivered)[0]
+        if draw_at.size:
+            draws = np.fromiter(
+                (rng.random() for _ in range(draw_at.size)),
+                dtype=np.float64,
+                count=draw_at.size,
+            )
+            # Mirrors SeededRng.bernoulli: delivered iff u < p.
+            delivered[draw_at] = draws < ps[draw_at]
+        return delivered.tolist()
+
+    def _stamp_acceptance(self, holder, frame: Frame, mono: type):
+        """The acceptance pre-filter over ``holder.radios``, once per stamp.
+
+        Cached on the holder per (timestamp, acceptance version, frame
+        kind): every sender of the stamp shares one ``accepts_mask``
+        call, and any enable/disable or scan start/stop in between bumps
+        the version and forces a fresh one.  Returns None when every
+        radio accepts, else the mask (an ndarray under numpy).
+        """
+        now = self.kernel.now
+        key = (now, self._accept_version, frame.kind)
+        cache = holder.accept
+        if cache is None or cache[0] != key:
+            mask = self._acceptance_mask(holder.radios, frame, now, mono)
+            if all(mask):
+                mask = None
+            elif array.numpy is not None:
+                mask = array.numpy.asarray(mask, dtype=bool)
+            cache = (key, mask)
+            holder.accept = cache
+        return cache[1]
 
     def _acceptance_mask(
         self, radios: Sequence[Radio], frame: Frame, now: float,

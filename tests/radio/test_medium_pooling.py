@@ -2,29 +2,45 @@
 
 The batch pipeline's two allocation optimizations are observable without
 touching delivery semantics: ``batch_cache_hits``/``batch_cache_misses``
-count per-(timestamp, version) candidate-gather reuse, and the
+count neighbour-table reuse/builds (numpy; without numpy, per-cell
+candidate-batch reuse/gathers) within a (timestamp, version) stamp — or
+within a version alone while the kind has no movers — and the
 ``_Delivery``/``_BatchDelivery`` shells recycle through the medium's
 pools — the same object identity serving successive transmissions.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.phy.geometry import Position
+from repro.phy.mobility import Linear, Static
 from repro.phy.world import World
 from repro.radio.base import Device
 from repro.radio.ble import BleRadio
 from repro.radio.medium import Medium
 from repro.sim.kernel import Kernel
+from repro.util import array
+
+requires_numpy = pytest.mark.skipif(
+    array.numpy is None, reason="neighbour tables are the numpy query stage"
+)
 
 
-def _population(vectorized, count=3, spacing=1.0):
+def _population(vectorized, count=3, spacing=1.0, moving=False):
     kernel = Kernel(seed=11)
     world = World(kernel)
     medium = Medium(kernel, world, vectorized=vectorized)
     heard = []
     radios = []
     for i in range(count):
-        node = world.add_node(f"p{i}", position=Position(i * spacing, 0.0))
+        start = Position(i * spacing, 0.0)
+        if moving:
+            # Slow walkers: non-static mobility, yet still in one grid
+            # cell over the seconds these tests span.
+            node = world.add_node(f"p{i}", mobility=Linear(start, (0.0, 0.1)))
+        else:
+            node = world.add_node(f"p{i}", position=start)
         device = Device(kernel, node)
         radio = device.add_radio(BleRadio(device, medium))
         radio.enable()
@@ -36,22 +52,50 @@ def _population(vectorized, count=3, spacing=1.0):
 
 
 def test_same_cell_senders_share_one_gather():
-    kernel, medium, radios, _ = _population(vectorized=True)
+    kernel, medium, radios, _ = _population(vectorized=True, moving=True)
     assert (medium.batch_cache_hits, medium.batch_cache_misses) == (0, 0)
     radios[0].advertise_once(b"a")
     assert (medium.batch_cache_hits, medium.batch_cache_misses) == (0, 1)
-    # Same timestamp, same cell, no attach/move in between: pure hits.
+    # Same timestamp, no attach/move in between: pure hits, movers or not.
     radios[1].advertise_once(b"b")
     radios[2].advertise_once(b"c")
     assert (medium.batch_cache_hits, medium.batch_cache_misses) == (2, 1)
 
 
+@requires_numpy
+def test_same_stamp_senders_share_one_table_build():
+    # Senders 40 m apart sit in different 30 m cells: the neighbour table
+    # still serves them all from one build per stamp.
+    kernel, medium, radios, heard = _population(
+        vectorized=True, count=6, spacing=40.0, moving=True
+    )
+    for radio in radios:
+        radio.advertise_once(b"x")
+    assert (medium.batch_cache_hits, medium.batch_cache_misses) == (5, 1)
+    kernel.run_until(1.0)
+    assert heard == []  # 40 m apart: nobody in range, one build regardless
+
+
 def test_clock_advance_invalidates_the_batch_cache():
-    kernel, medium, radios, _ = _population(vectorized=True)
+    kernel, medium, radios, _ = _population(vectorized=True, moving=True)
     radios[0].advertise_once(b"a")
     kernel.run_until(1.0)
     radios[0].advertise_once(b"b")
+    # Movers: positions are a function of time, so a new stamp rebuilds.
     assert medium.batch_cache_misses == 2
+
+
+@requires_numpy
+def test_mover_free_table_is_reused_across_stamps():
+    kernel, medium, radios, _ = _population(vectorized=True)
+    radios[0].advertise_once(b"a")
+    kernel.run_until(1.0)
+    radios[1].advertise_once(b"b")
+    kernel.run_until(2.0)
+    radios[2].advertise_once(b"c")
+    # No movers: only attach/detach/move can change a position, and each
+    # bumps the version, so one build serves every stamp.
+    assert (medium.batch_cache_hits, medium.batch_cache_misses) == (2, 1)
 
 
 def test_attach_invalidates_the_batch_cache():
@@ -59,11 +103,21 @@ def test_attach_invalidates_the_batch_cache():
     radios[0].advertise_once(b"a")
     node = medium.world.add_node("late", position=Position(0.5, 0.0))
     device = Device(kernel, node)
-    device.add_radio(BleRadio(device, medium)).enable()
+    late = device.add_radio(BleRadio(device, medium))
+    late.enable()
     radios[0].advertise_once(b"b")
     # The new attach bumped the version: the second gather cannot reuse
     # the first (it would miss the new radio).
     assert (medium.batch_cache_hits, medium.batch_cache_misses) == (0, 2)
+    medium.detach(late)
+    radios[0].advertise_once(b"c")
+    assert medium.batch_cache_misses == 3
+    radios[2].node.move_to(Position(0.2, 0.3))
+    radios[0].advertise_once(b"d")
+    assert medium.batch_cache_misses == 4
+    radios[2].node.set_mobility(Static(Position(0.4, 0.1)))
+    radios[0].advertise_once(b"e")
+    assert (medium.batch_cache_hits, medium.batch_cache_misses) == (0, 5)
 
 
 def test_batch_shells_recycle_through_the_pool():
