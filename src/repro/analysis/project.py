@@ -29,8 +29,7 @@ taint summaries (:mod:`repro.analysis.taint`), and emits:
   .compute_parity_chains`): banned non-correctly-rounded ufuncs, bulk or
   unordered RNG draws, and order-sensitive reductions fire at the
   primitive with the call chain from the delivery-log root in the
-  message.  (VEC002/VEC003 — numpy imports outside the shim and
-  module-scope backend caching — are per-file rules in the visitor.)
+  message.
 
 :func:`analyze_paths` here is the package's public entry point: per-file
 findings plus project findings, globally sorted, byte-identical however

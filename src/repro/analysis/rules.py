@@ -29,7 +29,7 @@ from typing import Dict, Tuple
 #: Bumped whenever the analysis passes change behaviour; folded into the
 #: incremental cache key so stale cached findings can never survive a rule
 #: change (see :mod:`repro.analysis.cache`).
-ANALYSIS_VERSION = 7
+ANALYSIS_VERSION = 8
 
 
 def _path_matches_prefix(path: str, prefix: str) -> bool:
@@ -63,9 +63,9 @@ class Rule:
     only_paths: Tuple[str, ...] = ()
     #: Lifecycle of the interface an API rule polices.  ``"active"`` rules
     #: guard a live invariant; ``"deprecating"`` rules flag a shimmed
-    #: interface mid-removal (the shim's own module is exempt);
-    #: ``"removed"`` rules outlive the interface — the shim is gone, the
-    #: exemptions are gone, and any match is a reintroduction.
+    #: interface mid-removal (the shim's own module is exempt).  Once the
+    #: interface is gone its rule goes too: a reintroduced use fails at
+    #: runtime.
     status: str = "active"
 
     def applies_to(self, path: str) -> bool:
@@ -162,11 +162,6 @@ _RULE_LIST = [
         "depend on the host environment",
         suggestion="thread configuration through explicit parameters "
         "(scenario/config objects) instead of the environment",
-        # The array shim's env read only selects numpy-vs-pure-Python; the
-        # two backends are bit-identical by contract, so the *results*
-        # cannot depend on the host environment (and the fallback CI leg
-        # needs exactly this switch).
-        exempt_paths=("repro/util/array.py",),
     ),
     # -- SIM: sim-time hygiene ------------------------------------------------
     Rule(
@@ -298,7 +293,7 @@ _RULE_LIST = [
         summary="a numpy ufunc that is not correctly rounded (np.hypot / "
         "np.log10 / np.power / np.exp) or math.fsum is called on a "
         "parity-sensitive path — its floats can reach a delivery log, "
-        "where the pure-Python twin would produce different bits",
+        "where the scalar reference would produce different bits",
         suggestion="stick to the admissible primitives (+ - * /, np.sqrt, "
         "stable argsort) or keep a scalar math-module loop, as "
         "repro.phy.propagation.LogDistance does; the finding prints the "
@@ -306,30 +301,6 @@ _RULE_LIST = [
         # The shim documents the ban and the analysis tooling may name the
         # banned ufuncs in strings/fixtures it builds.
         exempt_paths=("repro/util/array.py", "repro/analysis/"),
-    ),
-    Rule(
-        code="VEC002",
-        name="numpy-import-outside-shim",
-        summary="numpy imported outside repro.util.array — backend "
-        "selection (REPRO_NO_NUMPY, monkeypatched fallback) only works "
-        "when every consumer goes through the shim",
-        suggestion="use `from repro.util import array` and read "
-        "array.numpy per call (None means pure-Python fallback)",
-        # The shim performs the one sanctioned import; the runtime
-        # tripwire patches numpy.random when present.
-        exempt_paths=("repro/util/array.py", "repro/analysis/"),
-    ),
-    Rule(
-        code="VEC003",
-        name="module-scope-backend-cache",
-        summary="the shim backend is cached at module scope (`np = "
-        "array.numpy` at import time, or `from repro.util.array import "
-        "numpy`) — monkeypatching repro.util.array.numpy to None no "
-        "longer reaches this module, defeating the fallback contract",
-        suggestion="bind the backend inside the function body "
-        "(`np = array.numpy` per call), per the repro.util.array "
-        "docstring's read-per-call rule",
-        exempt_paths=("repro/util/array.py",),
     ),
     Rule(
         code="VEC004",
@@ -349,33 +320,14 @@ _RULE_LIST = [
         name="order-sensitive-reduction-on-parity-path",
         summary="an order-sensitive numpy reduction (np.sum / np.dot / "
         "np.prod / np.matmul ... — pairwise summation) feeds "
-        "parity-sensitive floats; the sequential pure-Python twin "
+        "parity-sensitive floats; the sequential scalar reference "
         "accumulates in a different association order, so the bits differ",
         suggestion="accumulate with a sequential loop / builtin sum() on "
-        "both backends, or restructure so the reduction's result never "
+        "both paths, or restructure so the reduction's result never "
         "reaches a delivery log",
         exempt_paths=("repro/analysis/",),
     ),
     # -- API: in-repo deprecated interfaces -----------------------------------
-    Rule(
-        code="API001",
-        name="removed-average-ma",
-        summary="EnergyMeter.average_ma(since_time, since_charge_mas) — the "
-        "two-float window form was removed after its deprecation cycle "
-        "(average_ma is keyword-only: since=snapshot, floor_ma=...)",
-        suggestion="take snapshot = meter.snapshot() and call "
-        "meter.average_ma(since=snapshot, floor_ma=...)",
-        status="removed",
-    ),
-    Rule(
-        code="API002",
-        name="removed-cellresult-alias",
-        summary="repro.experiments CellResult — the removed alias of "
-        "Table4Cell (the name belongs to repro.runner.CellResult)",
-        suggestion="import Table4Cell for the Table-4 measurement, or "
-        "repro.runner.CellResult for the runner's cell envelope",
-        status="removed",
-    ),
     Rule(
         code="API003",
         name="legacy-spatial-query-kwargs",

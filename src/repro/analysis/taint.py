@@ -379,12 +379,11 @@ def compute_parity_chains(graph: ProjectGraph) -> Dict[FunctionInfo, Chain]:
 def numpy_alias_names(info: ModuleInfo, function: FunctionInfo) -> frozenset:
     """Local names bound to the shim backend inside ``function``.
 
-    ``np = array.numpy`` (the sanctioned read-per-call idiom) makes
+    ``np = array.numpy`` (the per-call idiom) makes
     ``np`` a numpy handle for the rest of the function, so
     ``np.hypot(...)`` must count as ``numpy.hypot``.  Module-scope
-    bindings are collected off the module body and apply everywhere in
-    the file (they are *also* a VEC003 finding, but calls through them
-    still deserve their VEC001/VEC005).
+    bindings (``repro.radio.medium``'s read-once backend) are collected
+    off the module body and apply everywhere in the file.
     """
     names = set()
     bodies = [info.module_body, function]

@@ -77,25 +77,10 @@ _MIRROR_MUTATING_METHODS = {"move_to", "set_mobility"}
 #: WorldNode attributes whose assignment counts the same way.
 _MIRROR_GUARDED_ATTRS = {"mobility", "owner_shard"}
 
-#: ImportFrom modules whose ``CellResult`` was the removed alias (API002).
-_DEPRECATED_CELLRESULT_MODULES = {
-    "repro.experiments",
-    "repro.experiments.controlled",
-    "experiments",
-    "experiments.controlled",
-    "controlled",
-}
-
 #: Spatial-query entry points unified under the SpatialQuery protocol; the
 #: legacy keyword spellings on them are API003 sinks.
 _SPATIAL_QUERY_METHODS = {"nodes_within", "query", "query_arrays", "_candidates"}
 _LEGACY_SPATIAL_KWARGS = {"center", "cutoff"}
-
-#: Module spellings of the numpy shim (VEC003): importing its ``numpy``
-#: attribute — or assigning it at module scope — freezes backend selection
-#: at import time ("array" covers ``from .array import numpy`` inside the
-#: util package).
-_SHIM_BACKEND_MODULES = {"repro.util.array", "array"}
 
 
 def normalize_path(path) -> str:
@@ -203,13 +188,6 @@ class AnalysisVisitor(ast.NodeVisitor):
                     f"import of {alias.name!r} (global RNG state); "
                     "use repro.util.rng.SeededRng",
                 )
-            if alias.name == "numpy" or alias.name.startswith("numpy."):
-                self._emit(
-                    "VEC002", node,
-                    f"import of {alias.name!r} outside the repro.util.array "
-                    "shim; read array.numpy per call so the pure-Python "
-                    "fallback stays reachable",
-                )
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -225,31 +203,6 @@ class AnalysisVisitor(ast.NodeVisitor):
                 "DET001", node,
                 "import of numpy.random (global RNG state); "
                 "use repro.util.rng.SeededRng",
-            )
-        if module == "numpy" or module.startswith("numpy."):
-            self._emit(
-                "VEC002", node,
-                f"import from {module!r} outside the repro.util.array "
-                "shim; read array.numpy per call so the pure-Python "
-                "fallback stays reachable",
-            )
-        if module in _SHIM_BACKEND_MODULES and any(
-            alias.name == "numpy" for alias in node.names
-        ):
-            self._emit(
-                "VEC003", node,
-                "importing the shim's numpy attribute freezes backend "
-                "selection at import time; bind `np = array.numpy` inside "
-                "the function body instead",
-            )
-        if module in _DEPRECATED_CELLRESULT_MODULES and any(
-            alias.name == "CellResult" for alias in node.names
-        ):
-            self._emit(
-                "API002", node,
-                f"import of the removed CellResult alias from {module!r}; "
-                "use Table4Cell (or repro.runner.CellResult for the "
-                "runner envelope)",
             )
         self.generic_visit(node)
 
@@ -326,13 +279,6 @@ class AnalysisVisitor(ast.NodeVisitor):
                     "order; use sorted(...)",
                 )
         if isinstance(node.func, ast.Attribute):
-            if node.func.attr == "average_ma" and self._is_deprecated_average_ma(node):
-                self._emit(
-                    "API001", node,
-                    "removed two-float average_ma(since_time, "
-                    "since_charge_mas); use "
-                    "average_ma(since=snapshot, floor_ma=...)",
-                )
             if node.func.attr in _SPATIAL_QUERY_METHODS:
                 legacy = sorted(
                     keyword.arg for keyword in node.keywords
@@ -381,13 +327,6 @@ class AnalysisVisitor(ast.NodeVisitor):
             return False
         return resolved[1].import_origin == "time.sleep"
 
-    @staticmethod
-    def _is_deprecated_average_ma(node: ast.Call) -> bool:
-        if len(node.args) >= 2:
-            return True
-        keywords = {keyword.arg for keyword in node.keywords}
-        return bool(keywords & {"since_time", "since_charge_mas"})
-
     def _emit_frk001(self, node: ast.AST, name: str) -> None:
         self._emit(
             "FRK001", node,
@@ -396,26 +335,15 @@ class AnalysisVisitor(ast.NodeVisitor):
             "state on Job/engine objects",
         )
 
-    # -- DET007 / API002: attribute reads -------------------------------------
+    # -- DET007: attribute reads ----------------------------------------------
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        dotted = _dotted_name(node)
-        if dotted == "os.environ":
+        if _dotted_name(node) == "os.environ":
             self._emit(
                 "DET007", node,
                 "os.environ read makes results depend on the host "
                 "environment; pass configuration explicitly",
             )
-        if dotted is not None and node.attr == "CellResult":
-            base = dotted.rsplit(".", 1)[0]
-            if base in _DEPRECATED_CELLRESULT_MODULES or base.endswith(
-                (".experiments", ".controlled")
-            ):
-                self._emit(
-                    "API002", node,
-                    f"{dotted} is the removed alias of Table4Cell; "
-                    "use Table4Cell (or repro.runner.CellResult)",
-                )
         self.generic_visit(node)
 
     # -- FRK001: module-state mutation sinks ----------------------------------
@@ -427,36 +355,7 @@ class AnalysisVisitor(ast.NodeVisitor):
             self._emit_frk001(node, mutated)
         for target in node.targets:
             self._check_mirror_attribute(target)
-        self._check_module_backend_cache(node)
         self.generic_visit(node)
-
-    # -- VEC003: shim backend cached at module scope --------------------------
-
-    def _check_module_backend_cache(self, node: ast.Assign) -> None:
-        """Flag module-scope ``np = array.numpy``.
-
-        A module-level binding reads ``repro.util.array.numpy`` once, at
-        import time — monkeypatching the shim (or REPRO_NO_NUMPY in a
-        later interpreter) never reaches it.  The same expression inside
-        a function body is the sanctioned read-per-call idiom and stays
-        silent.
-        """
-        if self.scope is not self.builder.module_scope:
-            return
-        dotted = _dotted_name(node.value)
-        if dotted is None or not dotted.endswith(".numpy"):
-            return
-        root, _, rest = dotted.partition(".")
-        resolved = self.scope.resolve(root)
-        origin = resolved[1].import_origin if resolved else None
-        effective = f"{origin}.{rest}" if origin and rest else (origin or dotted)
-        if effective in {"repro.util.array.numpy", "array.numpy"}:
-            self._emit(
-                "VEC003", node,
-                f"{dotted} cached at module scope freezes backend "
-                "selection at import time; bind np = array.numpy inside "
-                "the function body (read per call)",
-            )
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         mutated = dataflow.mutates_module_state(

@@ -31,7 +31,6 @@ from typing import Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.phy.geometry import Position
 from repro.phy.mobility import MobilityModel, Static, positions_for
-from repro.util import array
 
 _Cell = Tuple[int, int]
 
@@ -125,14 +124,6 @@ _EPOCH_CELL_FRACTION = 0.5
 #: is an upper bound on the mover's speed over the near future.
 _SPEED_PROBE_S = 1.0
 
-#: Hard cap on the per-(now, version) mover-position memo in
-#: :meth:`TimeAwareGridIndex.query_arrays`.  The memo already evicts
-#: wholesale on every stamp change; the cap additionally bounds its
-#: footprint *within* one stamp for degenerate scenarios (a broadcast
-#: round sweeping an enormous mover population), trading repeat
-#: ``position_at`` calls for memory once full.
-_MOVER_MEMO_CAP = 65536
-
 
 class _Bucket:
     """One grid cell's contents as parallel arrays (items, x, y)."""
@@ -211,20 +202,24 @@ class UniformGridIndex:
     ) -> None:
         """Bulk-insert positioned items; equals sequential :meth:`insert`.
 
-        Cell coordinates for the whole batch come from one
-        :func:`repro.util.array.grid_cells` pass (bit-identical to the
-        scalar ``floor(v / cell_size)``), and items land in their buckets
-        in input order — so bucket contents, and therefore every later
-        query's candidate order, match ``len(items)`` scalar inserts
-        exactly.
+        Items land in their buckets in input order, each in the cell
+        :meth:`_cell_of` would pick — so bucket contents, and therefore
+        every later query's candidate order, match ``len(items)`` scalar
+        inserts exactly.
         """
-        cell_xs, cell_ys = array.grid_cells(xs, ys, self.cell_size)
+        if len(xs) != len(ys) or len(xs) != len(items):
+            raise ValueError(
+                "insert_batch: items, xs and ys must have equal length "
+                f"(got {len(items)}, {len(xs)} and {len(ys)})"
+            )
+        floor = math.floor
+        size = self.cell_size
         where = self._where
         cells = self._cells
         for index, item in enumerate(items):
             if item in where:
                 raise ValueError(f"item {item!r} already indexed")
-            cell = (cell_xs[index], cell_ys[index])
+            cell = (floor(xs[index] / size), floor(ys[index] / size))
             where[item] = cell
             bucket = cells.get(cell)
             if bucket is None:
@@ -399,13 +394,6 @@ class TimeAwareGridIndex:
         self._valid_from = 0.0
         self._valid_to = -1.0  # nothing bucketed yet: first query rebuckets
         self._tune_pending = False
-        # Mutation counter + per-(now, version) mover-position memo for
-        # query_arrays.  Broadcast-heavy rounds issue many queries at one
-        # timestamp; each mover's position_at(now) (pure in time) is then
-        # computed once per round instead of once per query it appears in.
-        self._version = 0
-        self._mover_positions: Dict[Hashable, Tuple[float, float]] = {}
-        self._mover_positions_key: Optional[Tuple[float, int]] = None
 
     def __len__(self) -> int:
         return len(self._static) + len(self._mobility)
@@ -461,7 +449,6 @@ class TimeAwareGridIndex:
         """Add ``item`` with its mobility model."""
         if item in self:
             raise ValueError(f"item {item!r} already indexed")
-        self._version += 1
         if type(mobility) is Static:
             self._static.insert(item, mobility.position)
             return
@@ -472,7 +459,6 @@ class TimeAwareGridIndex:
 
     def remove(self, item: Hashable) -> None:
         """Remove ``item``; raises ``KeyError`` if absent."""
-        self._version += 1
         if item in self._static:
             self._static.remove(item)
             return
@@ -601,12 +587,9 @@ class TimeAwareGridIndex:
         Items arrive in exactly :meth:`query`'s order.  Statics carry
         their stored (time-invariant) coordinates; movers — including
         roaming unbounded ones — are resolved to ``position_at(now)``,
-        the same floats the scalar path reads per item, memoized per
-        (``now``, mutation version) so a broadcast round touches each
-        mover's model once.  The memo is evicted wholesale on every
-        stamp change and hard-capped at ``_MOVER_MEMO_CAP`` entries
-        (overflow recomputes instead of caching).  ``unpositioned`` is
-        always empty here: this index knows every item's mobility model.
+        the same floats the scalar path reads per item.  ``unpositioned``
+        is always empty here: this index knows every item's mobility
+        model.
         """
         arrays = self._static.query_arrays(origin, radius)
         if not self._mobility:
@@ -614,22 +597,12 @@ class TimeAwareGridIndex:
         items = arrays.items
         xs = arrays.xs
         ys = arrays.ys
-        key = (now, self._version)
-        if key != self._mover_positions_key:
-            self._mover_positions = {}
-            self._mover_positions_key = key
-        memo = self._mover_positions
         mobilities = self._mobility
         for item in self._mover_candidates(origin, radius, now):
-            pos = memo.get(item)
-            if pos is None:
-                point = mobilities[item].position_at(now)
-                pos = (point.x, point.y)
-                if len(memo) < _MOVER_MEMO_CAP:
-                    memo[item] = pos
+            point = mobilities[item].position_at(now)
             items.append(item)
-            xs.append(pos[0])
-            ys.append(pos[1])
+            xs.append(point.x)
+            ys.append(point.y)
         return arrays
 
     def _mover_candidates(

@@ -26,7 +26,7 @@ of the candidate receivers, sender excluded** (the order radios attached
 to the medium).  This draw-order contract is part of the public API:
 batch implementations compute probabilities however they like, but must
 spend the RNG stream in exactly this order, which is what keeps scalar,
-vectorized, numpy-free, indexed, and sharded runs byte-identical.
+vectorized, indexed, and sharded runs byte-identical.
 """
 
 from __future__ import annotations

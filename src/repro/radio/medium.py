@@ -20,8 +20,10 @@ the query, adding no event-queue traffic.
 Vectorized broadcast and the batch delivery pipeline
 ----------------------------------------------------
 
-By default (``vectorized=True``) a broadcast runs in four batch stages,
-each a separately overridable seam:
+With numpy installed, and by default (``vectorized=True``), a broadcast
+runs in four batch stages, each a separately overridable seam.  Without
+numpy the medium runs the scalar reference loop instead — the one
+numpy-free path; ``Medium`` makes that choice once, at construction.
 
 1. **query** — :meth:`Medium._build_table` resolves *every* radio's
    receivers at once: one neighbour table per technology, built from a
@@ -31,13 +33,10 @@ each a separately overridable seam:
    attach/move version) stamp — or for the version alone while the
    technology has no moving radios — so a beacon round's senders share
    one build (reuse/build counts in ``batch_cache_hits`` /
-   ``batch_cache_misses``).  Without numpy the query is
-   :meth:`Medium._cell_batch`, a per-(technology, grid cell) gather on
-   the same stamp, counted the same way.
+   ``batch_cache_misses``).
 2. **probability** — :meth:`Medium._delivery_mask` turns one sender's
    row of distances into delivery decisions, drawing the RNG delivery
-   rolls in one numpy pass (or a pure-Python twin when numpy is absent —
-   bit-identical by the :mod:`repro.util.array` contract).
+   rolls in one numpy pass.
 3. **acceptance** — :meth:`Medium._acceptance_mask` asks each concrete
    radio class for one ``accepts_mask`` over its receivers instead of N
    virtual ``_accepts_frame`` calls, cached per (timestamp, acceptance
@@ -84,6 +83,10 @@ DEFAULT_RANGES = {
 
 #: Propagation delay is negligible at D2D ranges; modeled as a constant.
 PROPAGATION_DELAY_S = 5e-6
+
+#: The batch pipeline's backend, read once: numpy, or None when it is not
+#: installed — then every medium runs the scalar reference loop.
+np = array.numpy
 
 #: Packs a (cell_x, cell_y) pair into one int64 cell id for the neighbour
 #: table's join (see Medium._build_table): ids of one x-column are
@@ -180,27 +183,10 @@ class _BatchDelivery:
                                        accept_version)
 
 
-class _CellBatch:
-    """Cached candidate lists for every sender in one grid cell.
-
-    The numpy-free query stage: ``radios`` is attach-order sorted and
-    ``xs``/``ys`` are the matching coordinates.  ``accept`` memoises the
-    stamp-scoped acceptance pre-filter (see Medium._stamp_acceptance).
-    """
-
-    __slots__ = ("radios", "xs", "ys", "accept")
-
-    def __init__(self, radios, xs, ys) -> None:
-        self.radios = radios
-        self.xs = xs
-        self.ys = ys
-        self.accept = None
-
-
 class _NeighbourTable:
     """Every in-range (sender, receiver) pair of one kind at one stamp.
 
-    The numpy query stage.  ``radios`` is the kind's registry in attach
+    The query stage.  ``radios`` is the kind's registry in attach
     order and ``index_of`` maps ``_medium_seq`` to a registry index.  Row
     ``g`` — entries ``indptr[g]:indptr[g + 1]`` — lists the radios within
     cutoff of ``radios[g]`` in ascending attach order, ``g`` itself
@@ -244,7 +230,9 @@ class Medium:
         self.kernel = kernel
         self.world = world
         self.rng = rng or kernel.rng.child("medium")
-        self.vectorized = vectorized
+        # The batch pipeline is built on numpy; without it every broadcast
+        # takes the (byte-identical) scalar reference loop.
+        self.vectorized = vectorized and np is not None
         self.propagation: Dict[RadioKind, PropagationModel] = {
             kind: UnitDisk(radius) for kind, radius in DEFAULT_RANGES.items()
         }
@@ -259,8 +247,8 @@ class Medium:
         # counted within frames_delivered too, broken out for shard stats.
         self.frames_cross_shard = 0
         #: Query-stage cache outcomes, alongside the frame counters: a hit
-        #: means a sender reused its kind's neighbour table (numpy-free:
-        #: its cell's candidate batch), a miss that it built one.
+        #: means a sender reused its kind's neighbour table, a miss that
+        #: it built one.
         self.batch_cache_hits = 0
         self.batch_cache_misses = 0
         # Spatial index: one grid per technology with a hard range cutoff.
@@ -270,16 +258,11 @@ class Medium:
         self._attach_seq = 0
         self._grids: Dict[RadioKind, Optional[TimeAwareGridIndex]] = {}
         self._node_radios: Dict[WorldNode, List[Radio]] = {}
-        # Bumped by every attach/detach/move: part of every query-stage
-        # cache key.
+        # Bumped by every attach/detach/move: part of every neighbour
+        # table's key.
         self._batch_version = 0
-        # The current neighbour table per kind (numpy) — see
-        # _neighbour_table.
+        # The current neighbour table per kind — see _neighbour_table.
         self._tables: Dict[RadioKind, _NeighbourTable] = {}
-        # Per-(kind, cell) candidate batches (numpy-free), valid for one
-        # (timestamp, attach/move version) — see _cell_batch.
-        self._batch_cache: Dict[Tuple[RadioKind, Tuple[int, int]], _CellBatch] = {}
-        self._batch_stamp: Tuple[float, int] = (-1.0, -1)
         # Recycled delivery-event shells (see _Delivery/_BatchDelivery):
         # bounded by the peak number of in-flight arrivals.
         self._delivery_pool: List[_Delivery] = []
@@ -412,7 +395,6 @@ class Medium:
         none: every position change of a static radio goes through
         ``move_to``/``set_mobility`` → :meth:`_node_moved`, which bumps
         the version, so a mover-free table stays exact across stamps.
-        Numpy path only.
         """
         now = self.kernel.now
         key = (now if grid.has_movers else None, self._batch_version, cutoff)
@@ -461,7 +443,6 @@ class Medium:
         from the most crowded cell so no chunk exceeds
         ``_JOIN_CANDIDATES``.
         """
-        np = array.numpy
         if registry is None:
             radios = list(self._radios[kind])
             robj = np.empty(len(radios), dtype=object)
@@ -546,71 +527,6 @@ class Medium:
             table.indptr = [0] * (count + 1)
         return table
 
-    def _cell_batch(
-        self,
-        kind: RadioKind,
-        grid: TimeAwareGridIndex,
-        origin: Position,
-        cutoff: float,
-    ) -> _CellBatch:
-        """Numpy-free query stage: the cached batch covering ``origin``'s cell.
-
-        One gather serves every same-cell sender at this timestamp.  The
-        batch must contain every radio within ``cutoff`` of *any* origin
-        in the cell — i.e. within Chebyshev ``cutoff + size/2`` of the
-        cell center — and is free to contain more: by the exactness
-        invariant (candidates beyond ``cutoff`` have delivery probability
-        0, no frame, no draw) the surplus is unobservable in delivery
-        logs.  The gather queries the time-aware grid and trims to the
-        disk that provably covers every origin in the cell — ``cutoff +
-        0.75·size``, a safe margin over the cell half-diagonal
-        (``size·√2/2``).  Invalidated whenever the clock advances or a
-        radio attaches/detaches/moves.
-        """
-        now = self.kernel.now
-        stamp = (now, self._batch_version)
-        if self._batch_stamp != stamp:
-            self._batch_cache.clear()
-            self._batch_stamp = stamp
-        size = grid.cell_size
-        cell = (math.floor(origin.x / size), math.floor(origin.y / size))
-        key = (kind, cell)
-        batch = self._batch_cache.get(key)
-        if batch is not None:
-            self.batch_cache_hits += 1
-            return batch
-        self.batch_cache_misses += 1
-        center = Position((cell[0] + 0.5) * size, (cell[1] + 0.5) * size)
-        reach = cutoff + 0.75 * size
-        arrays = grid.query_arrays(center, cutoff + 0.5 * size, now)
-        items = arrays.items
-        xs = arrays.xs
-        ys = arrays.ys
-        for item in arrays.unpositioned:  # pragma: no cover - time-aware
-            position = item.node.position  # grids resolve every mover
-            items.append(item)
-            xs.append(position.x)
-            ys.append(position.y)
-        reach_sq = reach * reach
-        keep = []
-        for i in range(len(items)):
-            dx = xs[i] - center.x
-            dy = ys[i] - center.y
-            if dx * dx + dy * dy <= reach_sq:
-                keep.append(i)
-        if len(keep) != len(items):
-            items = [items[i] for i in keep]
-            xs = [xs[i] for i in keep]
-            ys = [ys[i] for i in keep]
-        order = array.argsort([radio._medium_seq for radio in items])
-        batch = _CellBatch(
-            [items[i] for i in order],
-            [xs[i] for i in order],
-            [ys[i] for i in order],
-        )
-        self._batch_cache[key] = batch
-        return batch
-
     def _row(
         self,
         sender: Radio,
@@ -619,41 +535,24 @@ class Medium:
     ):
         """``sender``'s receivers within ``cutoff``: the query-stage row.
 
-        Returns ``(receivers, distances, rows, holder)`` — the radios in
+        Returns ``(receivers, distances, rows, table)`` — the radios in
         ascending attach order with the sender excluded, their distances,
-        their indices into ``holder.radios`` (the population the
-        stamp-scoped acceptance mask covers), and the holder itself — or
-        None when ``sender`` is missing from the registry (detached).
+        their indices into ``table.radios`` (the population the
+        stamp-scoped acceptance mask covers), and the neighbour table
+        itself — or None when ``sender`` is missing from the registry
+        (detached).
         """
-        if array.numpy is not None:
-            table = self._neighbour_table(sender.kind, grid, cutoff)
-            g = table.index_of.get(sender._medium_seq)
-            if g is None:
-                return None
-            lo = table.indptr[g]
-            hi = table.indptr[g + 1]
-            if lo == hi:
-                return [], [], (), table
-            rows = table.nbrs[lo:hi]
-            return (table.robj[rows].tolist(), table.distances[lo:hi].tolist(),
-                    rows, table)
-        origin = sender.node.position
-        batch = self._cell_batch(sender.kind, grid, origin, cutoff)
-        receivers: List[Radio] = []
-        distances: List[float] = []
-        rows: List[int] = []
-        sqrt = math.sqrt
-        for pos, radio in enumerate(batch.radios):
-            if radio is sender:
-                continue
-            dx = batch.xs[pos] - origin.x
-            dy = batch.ys[pos] - origin.y
-            distance = sqrt(dx * dx + dy * dy)
-            if distance <= cutoff:
-                receivers.append(radio)
-                distances.append(distance)
-                rows.append(pos)
-        return receivers, distances, rows, batch
+        table = self._neighbour_table(sender.kind, grid, cutoff)
+        g = table.index_of.get(sender._medium_seq)
+        if g is None:
+            return None
+        lo = table.indptr[g]
+        hi = table.indptr[g + 1]
+        if lo == hi:
+            return [], [], (), table
+        rows = table.nbrs[lo:hi]
+        return (table.robj[rows].tolist(), table.distances[lo:hi].tolist(),
+                rows, table)
 
     def in_range(self, a: Radio, b: Radio) -> bool:
         """True if radios ``a`` and ``b`` are within their technology's range."""
@@ -750,7 +649,7 @@ class Medium:
         row = self._row(sender, grid, cutoff)
         if row is None:  # detached sender: not in the registry
             return self._broadcast_scalar(sender, frame, model, cutoff)
-        receivers, distances, rows, holder = row
+        receivers, distances, rows, table = row
         if not receivers:
             return 0
         keep = self._delivery_mask(model, distances)
@@ -758,15 +657,12 @@ class Medium:
         ref = getattr(mono, "_accepts_versioned_ref", None)
         if ref is not None and ref is getattr(mono, "_accepts_frame", None):
             # Version-covered mono-class kind (the common case): one
-            # stamp-scoped pre-filter mask over the holder's population is
+            # stamp-scoped pre-filter mask over the table's population is
             # shared by every sender, and the delivery-time re-check is
             # elided while the version holds (see _execute_batch_delivery).
-            accepted = self._stamp_acceptance(holder, frame, mono)
+            accepted = self._stamp_acceptance(table, frame, mono)
             if accepted is not None:
-                if array.numpy is not None:
-                    flags = accepted[rows].tolist()
-                else:
-                    flags = [accepted[pos] for pos in rows]
+                flags = accepted[rows].tolist()
                 keep = flags if keep is None else [
                     hit and ok for hit, ok in zip(keep, flags)
                 ]
@@ -807,10 +703,7 @@ class Medium:
         """
         if type(model) is UnitDisk:
             return None
-        np = array.numpy
         rng = self.rng
-        if np is None:
-            return [frame_delivered(model, d, rng) for d in distances]
         ps = np.asarray(model.delivery_probabilities(distances),
                         dtype=np.float64)
         delivered = ps >= 1.0
@@ -825,26 +718,24 @@ class Medium:
             delivered[draw_at] = draws < ps[draw_at]
         return delivered.tolist()
 
-    def _stamp_acceptance(self, holder, frame: Frame, mono: type):
-        """The acceptance pre-filter over ``holder.radios``, once per stamp.
+    def _stamp_acceptance(self, table: _NeighbourTable, frame: Frame,
+                          mono: type):
+        """The acceptance pre-filter over ``table.radios``, once per stamp.
 
-        Cached on the holder per (timestamp, acceptance version, frame
+        Cached on the table per (timestamp, acceptance version, frame
         kind): every sender of the stamp shares one ``accepts_mask``
         call, and any enable/disable or scan start/stop in between bumps
         the version and forces a fresh one.  Returns None when every
-        radio accepts, else the mask (an ndarray under numpy).
+        radio accepts, else the mask as a bool ndarray.
         """
         now = self.kernel.now
         key = (now, self._accept_version, frame.kind)
-        cache = holder.accept
+        cache = table.accept
         if cache is None or cache[0] != key:
-            mask = self._acceptance_mask(holder.radios, frame, now, mono)
-            if all(mask):
-                mask = None
-            elif array.numpy is not None:
-                mask = array.numpy.asarray(mask, dtype=bool)
+            mask = self._acceptance_mask(table.radios, frame, now, mono)
+            mask = None if all(mask) else np.asarray(mask, dtype=bool)
             cache = (key, mask)
-            holder.accept = cache
+            table.accept = cache
         return cache[1]
 
     def _acceptance_mask(

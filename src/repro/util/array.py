@@ -1,17 +1,18 @@
-"""Optional numpy acceleration with a bit-identical pure-Python fallback.
+"""The optional numpy backend, selected once at import.
 
-numpy is an *accelerator*, never a dependency: every batch code path in
-the tree (``PropagationModel.delivery_probabilities``, the vectorized
-``Medium`` broadcast, index ``query_arrays`` consumers) must have a
-pure-Python twin that produces **bit-identical** floats, mirroring the
-``--no-shared-memory`` transport fallback idiom.  This module is the one
-place backend selection happens:
+numpy is an *accelerator*, never a dependency (``pip install .[fast]``
+declares it).  With numpy, ``Medium`` runs its batch delivery pipeline
+(:mod:`repro.radio.medium`); without it, the scalar reference loop — the
+one numpy-free path, and byte-identical to the pipeline by contract.
+Smaller batch surfaces (``PropagationModel.delivery_probabilities``,
+``MobilityModel.positions_at``) keep a scalar loop for when numpy is
+absent.  This module is the one place numpy is imported:
 
-* ``numpy`` — the imported module, or ``None`` when numpy is missing or
-  the ``REPRO_NO_NUMPY=1`` environment variable disabled it at import
-  time.  Hot paths read this attribute *per call* (not a cached local),
-  so tests can monkeypatch ``repro.util.array.numpy`` to ``None`` and
-  exercise the fallback without a second interpreter.
+* ``numpy`` — the imported module, or ``None`` when numpy is missing.
+  The smaller batch surfaces read this attribute per call (``np =
+  array.numpy``), so tests can monkeypatch it to ``None`` to exercise
+  their scalar loops; :mod:`repro.radio.medium` reads it once, at
+  import, since its pipeline has no numpy-free form to switch to.
 * ``HAVE_NUMPY`` — the selection frozen at import, for reporting.
 
 Bit-parity ground rules (verified empirically on numpy 2.x, whose ufuncs
@@ -30,23 +31,16 @@ use SIMD kernels):
 
 from __future__ import annotations
 
-import math
-import os
-from typing import List, Sequence
-
-try:  # pragma: no cover - exercised via the REPRO_NO_NUMPY CI leg
+try:  # pragma: no cover - exercised by the numpy-blocked subprocess test
     import numpy as _numpy
 except ImportError:  # pragma: no cover
     _numpy = None
 
-if os.environ.get("REPRO_NO_NUMPY") == "1":
-    _numpy = None
-
-#: The active backend: the numpy module, or None for pure Python.
-#: Monkeypatchable; hot paths must read it per call.
+#: The active backend: the numpy module, or None without numpy.
+#: Monkeypatchable; batch code reads it per call.
 numpy = _numpy
 
-#: Whether numpy was importable (and not disabled) at import time.
+#: Whether numpy was importable at import time.
 HAVE_NUMPY = numpy is not None
 
 
@@ -64,79 +58,3 @@ def numpy_version() -> str:
     """
     np = numpy
     return "" if np is None else str(np.__version__)
-
-
-def euclidean_distances(
-    origin_x: float, origin_y: float, xs: Sequence[float], ys: Sequence[float]
-):
-    """Distances from ``(origin_x, origin_y)`` to each ``(xs[i], ys[i])``.
-
-    Bit-identical to ``Position.distance_to`` under either backend:
-    ``sqrt(dx*dx + dy*dy)`` with correctly-rounded primitives only.
-    Returns an ndarray when numpy is active (and the inputs are arrays
-    or convertible), else a list of floats.  Mismatched coordinate
-    lengths raise ``ValueError`` under *both* backends — ``zip`` would
-    silently truncate to the shorter sequence in pure Python while numpy
-    broadcasts or errors differently, a parity break worse than either.
-    """
-    if len(xs) != len(ys):
-        raise ValueError(
-            "euclidean_distances: xs and ys must have equal length "
-            f"(got {len(xs)} and {len(ys)})"
-        )
-    np = numpy
-    if np is not None:
-        dx = np.asarray(xs, dtype=np.float64) - origin_x
-        dy = np.asarray(ys, dtype=np.float64) - origin_y
-        return np.sqrt(dx * dx + dy * dy)
-    sqrt = math.sqrt
-    return [
-        sqrt((x - origin_x) * (x - origin_x) + (y - origin_y) * (y - origin_y))
-        for x, y in zip(xs, ys)
-    ]
-
-
-def argsort(keys: Sequence[int]) -> List[int]:
-    """Indices that sort ``keys`` ascending (ties in original order)."""
-    np = numpy
-    if np is not None:
-        return np.argsort(np.asarray(keys, dtype=np.int64), kind="stable").tolist()
-    return sorted(range(len(keys)), key=keys.__getitem__)
-
-
-def grid_cells(
-    xs: Sequence[float], ys: Sequence[float], cell_size: float
-):
-    """Grid-cell coordinates ``floor(v / cell_size)`` for each point.
-
-    Bit-identical to per-point ``math.floor(x / size)`` under either
-    backend: the division is correctly rounded in both, ``np.floor`` is
-    exact, and the int64 cast is lossless for any coordinate a simulation
-    arena can hold.  Returns a pair of parallel integer lists — the bulk
-    rebucketing path keys cells by plain ``(int, int)`` tuples either way.
-    Mismatched lengths raise ``ValueError`` under both backends, same as
-    :func:`euclidean_distances`.
-    """
-    if len(xs) != len(ys):
-        raise ValueError(
-            "grid_cells: xs and ys must have equal length "
-            f"(got {len(xs)} and {len(ys)})"
-        )
-    np = numpy
-    if np is not None:
-        cxs = (
-            np.floor(np.asarray(xs, dtype=np.float64) / cell_size)
-            .astype(np.int64)
-            .tolist()
-        )
-        cys = (
-            np.floor(np.asarray(ys, dtype=np.float64) / cell_size)
-            .astype(np.int64)
-            .tolist()
-        )
-        return cxs, cys
-    floor = math.floor
-    return (
-        [floor(x / cell_size) for x in xs],
-        [floor(y / cell_size) for y in ys],
-    )

@@ -1,8 +1,8 @@
 """Fixture: every admissible idiom at once — must stay completely silent.
 
-Correctly-rounded primitives (+ - * /, np.sqrt), the shim's stable
-argsort, the per-call backend read, and ordered scalar draws are exactly
-how PR 8's production pipeline is written; none of VEC001..5 may fire.
+Correctly-rounded primitives (+ - * /, np.sqrt), a stable argsort, the
+per-call backend read, and ordered scalar draws are exactly how the
+production pipeline is written; none of VEC001, VEC004 or VEC005 may fire.
 """
 
 from repro.util import array
@@ -10,12 +10,12 @@ from repro.util import array
 
 def delivery_probabilities(origin_x, origin_y, xs, ys):
     np = array.numpy
-    distances = array.euclidean_distances(origin_x, origin_y, xs, ys)
-    if np is not None:
-        return np.sqrt(distances * distances) * 0.5
-    return [d * 0.5 for d in distances]
+    dx = np.asarray(xs) - origin_x
+    dy = np.asarray(ys) - origin_y
+    return np.sqrt(dx * dx + dy * dy) * 0.5
 
 
 def broadcast(rng, candidates):
-    order = array.argsort([c.node_id for c in candidates])
-    return [rng.random() for _ in order]
+    np = array.numpy
+    keys = np.asarray([c.node_id for c in candidates])
+    return [rng.random() for _ in np.argsort(keys, kind="stable")]

@@ -1,7 +1,7 @@
 """Fixture: banned ufunc directly inside a parity root (VEC001).
 
-The backend is bound per call through the shim — the sanctioned idiom —
-so only the ``np.hypot`` call itself is a finding (no VEC002/VEC003).
+The backend is bound per call through the shim, so the finding is the
+``np.hypot`` call itself, at its own line.
 """
 
 from repro.util import array

@@ -1,6 +1,6 @@
 """Fixture: banned ufunc two calls from the delivery path (VEC001).
 
-Also fires the per-file VEC002 for the bare numpy import.
+The bare numpy import is no finding: only parity paths are policed.
 """
 
 import numpy as np

@@ -1,8 +1,8 @@
 """Fixture: numpy use *off* the delivery path.
 
 ``summarize`` is not parity-sensitive, so the banned ``np.power`` does
-not fire VEC001 — only the per-file VEC002 for the bare import.  This is
-what scopes the parity taint: offline analytics may use any ufunc.
+not fire VEC001.  This is what scopes the parity taint: offline
+analytics may use any ufunc.
 """
 
 import numpy as np

@@ -2,10 +2,12 @@
 
 Elementwise state reads for the acceptance mask, correctly-rounded
 arithmetic (subtract, maximum, multiply, add) for the epoch positions,
-and the shim's ``grid_cells`` for bucket coordinates are exactly how the
-production pipeline is written; none of VEC001..5 may fire even though
-every function here is a parity root.
+and ``math.floor`` for bucket coordinates are exactly how the production
+pipeline is written; none of VEC001, VEC004 or VEC005 may fire even
+though every function here is a parity root.
 """
+
+import math
 
 from repro.util import array
 
@@ -26,6 +28,5 @@ def positions_at(models, time):
 
 
 def insert_batch(index, items, xs, ys):
-    cell_xs, cell_ys = array.grid_cells(xs, ys, 4.0)
-    for item, cx, cy in zip(items, cell_xs, cell_ys):
-        index.place(item, (cx, cy))
+    for item, x, y in zip(items, xs, ys):
+        index.place(item, (math.floor(x / 4.0), math.floor(y / 4.0)))

@@ -263,7 +263,7 @@ def test_caller_edit_repairs_the_callees_stale_vec_section(tmp_path):
     cache = AnalysisCache(tmp_path / "cache")
     cold, _ = analyze_paths_incremental([tree], cache=cache)
     assert [(f.code, f.line) for f in cold
-            if f.path.endswith("loss.py")] == [("VEC002", 1), ("VEC001", 5)]
+            if f.path.endswith("loss.py")] == [("VEC001", 5)]
 
     # Rename the root: broadcast() stops being a delivery path, so the
     # callee's VEC001 dies even though loss.py itself never changed.

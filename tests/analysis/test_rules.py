@@ -23,9 +23,7 @@ def test_det001_global_random_fixture():
         ("DET001", 3),   # import random
         ("DET001", 4),   # from random import choice
         ("DET001", 5),   # import numpy.random
-        ("VEC002", 5),   # ...which is also a bare numpy import
         ("DET001", 6),   # from numpy import random
-        ("VEC002", 6),   # ...likewise outside the shim
         ("DET001", 10),  # random.random() call
     ]
 
@@ -145,39 +143,6 @@ def test_frk004_mirror_mutation_fixture():
     assert not analyze_source(source, "repro/sim/sharded/boundary.py")
     # Outside the sharded package these are ordinary attribute writes.
     assert not analyze_source(source, "repro/phy/world.py")
-
-
-def test_api001_average_ma_fixture():
-    findings = analyze_file(FIXTURES / "api001_average_ma.py")
-    assert keys(findings) == [
-        ("API001", 5),   # two positional floats
-        ("API001", 6),   # since_time=/since_charge_mas= keywords
-    ]
-    # The snapshot form on line 9 stays clean.
-
-
-def test_api002_cellresult_fixture():
-    findings = analyze_file(FIXTURES / "api002_cellresult.py")
-    assert keys(findings) == [
-        ("API002", 3),   # from repro.experiments import CellResult
-        ("API002", 4),   # from repro.experiments.controlled import ...
-        ("API002", 9),   # controlled.CellResult attribute
-    ]
-    # repro.runner.artifacts.CellResult (line 5) is the real one — clean.
-
-
-def test_api001_api002_retired_rules_fire_everywhere():
-    # The deprecation cycle completed: the former shim modules lost their
-    # exemptions, so reintroducing either interface anywhere — including
-    # the modules that used to host the shims — is a lint error.
-    call = "def f(meter):\n    return meter.average_ma(0.0, 0.0)\n"
-    assert analyze_source(call, "repro/energy/meter.py")
-    alias = "from repro.experiments import CellResult\n"
-    assert analyze_source(alias, "repro/experiments/__init__.py")
-    from repro.analysis.rules import RULES
-
-    assert RULES["API001"].status == "removed"
-    assert RULES["API002"].status == "removed"
 
 
 def test_api003_spatial_kwargs_fixture():

@@ -1,18 +1,19 @@
 """Batch position surfaces == their scalar references, bit for bit.
 
-``MobilityModel.positions_at`` / ``positions_for`` / ``array.grid_cells``
-/ ``UniformGridIndex.insert_batch`` are the rebucketing path's batch
-twins of ``position_at`` / ``math.floor(x / size)`` / per-item
-``insert``.  Every test here asserts exact float and bucket-order
-equality — the invariant the time-aware grid's epoch rebucketing (and
-therefore every delivery log) rests on — under both backends.
+``MobilityModel.positions_at`` / ``positions_for`` /
+``UniformGridIndex.insert_batch`` are the rebucketing path's batch twins
+of ``position_at`` / per-item ``insert``.  Every test here asserts exact
+float and bucket-order equality — the invariant the time-aware grid's
+epoch rebucketing (and therefore every delivery log) rests on — under
+whichever backend the interpreter has (``Linear.positions_at`` runs
+numpy when it is installed, its scalar reference otherwise).
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.phy.geometry import Position
@@ -25,18 +26,7 @@ from repro.phy.mobility import (
     WaypointPath,
     positions_for,
 )
-from repro.util import array
 from repro.util.rng import SeededRng
-
-
-@contextmanager
-def _python_backend():
-    saved = array.numpy
-    array.numpy = None
-    try:
-        yield
-    finally:
-        array.numpy = saved
 
 
 def _mixed_models(rng: SeededRng, count: int):
@@ -94,8 +84,6 @@ def test_positions_for_is_bit_identical_both_backends(seed, time):
     rng = SeededRng(seed)
     models = _mixed_models(rng, 17)
     _assert_batch_matches_scalar(models, time)
-    with _python_backend():
-        _assert_batch_matches_scalar(models, time)
 
 
 def test_linear_batch_clamps_before_start_time():
@@ -148,23 +136,24 @@ def test_base_default_positions_at_is_the_elementwise_loop():
     cell_size=st.floats(min_value=0.1, max_value=500.0,
                         allow_nan=False, allow_infinity=False),
 )
-def test_grid_cells_matches_math_floor_both_backends(coords, cell_size):
+def test_insert_batch_cells_match_math_floor(coords, cell_size):
     xs = coords
     ys = [-(v) for v in coords]
-    expected_x = [math.floor(v / cell_size) for v in xs]
-    expected_y = [math.floor(v / cell_size) for v in ys]
-    assert array.grid_cells(xs, ys, cell_size) == (expected_x, expected_y)
-    with _python_backend():
-        assert array.grid_cells(xs, ys, cell_size) == (expected_x, expected_y)
+    items = [f"c{i}" for i in range(len(xs))]
+    index = UniformGridIndex(cell_size=cell_size)
+    index.insert_batch(items, xs, ys)
+    for item, x, y in zip(items, xs, ys):
+        expected = (math.floor(x / cell_size), math.floor(y / cell_size))
+        assert index._where[item] == expected
 
 
-def test_grid_cells_rejects_mismatched_lengths():
-    try:
-        array.grid_cells([1.0, 2.0], [1.0], 10.0)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("length mismatch must raise ValueError")
+def test_insert_batch_rejects_mismatched_lengths():
+    index = UniformGridIndex(cell_size=10.0)
+    with pytest.raises(ValueError, match="equal length"):
+        index.insert_batch(["a", "b"], [1.0, 2.0], [1.0])
+    with pytest.raises(ValueError, match="equal length"):
+        index.insert_batch(["a"], [1.0, 2.0], [1.0, 2.0])
+    assert len(index) == 0
 
 
 @settings(max_examples=20, deadline=None)

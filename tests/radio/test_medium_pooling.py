@@ -2,11 +2,12 @@
 
 The batch pipeline's two allocation optimizations are observable without
 touching delivery semantics: ``batch_cache_hits``/``batch_cache_misses``
-count neighbour-table reuse/builds (numpy; without numpy, per-cell
-candidate-batch reuse/gathers) within a (timestamp, version) stamp — or
-within a version alone while the kind has no movers — and the
+count neighbour-table reuse/builds within a (timestamp, version) stamp —
+or within a version alone while the kind has no movers — and the
 ``_Delivery``/``_BatchDelivery`` shells recycle through the medium's
 pools — the same object identity serving successive transmissions.
+Without numpy a vectorized medium runs the scalar loop, so only the
+scalar-shell cases apply there.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.sim.kernel import Kernel
 from repro.util import array
 
 requires_numpy = pytest.mark.skipif(
-    array.numpy is None, reason="neighbour tables are the numpy query stage"
+    array.numpy is None, reason="the batch pipeline needs numpy"
 )
 
 
@@ -51,6 +52,7 @@ def _population(vectorized, count=3, spacing=1.0, moving=False):
     return kernel, medium, radios, heard
 
 
+@requires_numpy
 def test_same_cell_senders_share_one_gather():
     kernel, medium, radios, _ = _population(vectorized=True, moving=True)
     assert (medium.batch_cache_hits, medium.batch_cache_misses) == (0, 0)
@@ -76,6 +78,7 @@ def test_same_stamp_senders_share_one_table_build():
     assert heard == []  # 40 m apart: nobody in range, one build regardless
 
 
+@requires_numpy
 def test_clock_advance_invalidates_the_batch_cache():
     kernel, medium, radios, _ = _population(vectorized=True, moving=True)
     radios[0].advertise_once(b"a")
@@ -98,6 +101,7 @@ def test_mover_free_table_is_reused_across_stamps():
     assert (medium.batch_cache_hits, medium.batch_cache_misses) == (2, 1)
 
 
+@requires_numpy
 def test_attach_invalidates_the_batch_cache():
     kernel, medium, radios, _ = _population(vectorized=True)
     radios[0].advertise_once(b"a")
@@ -120,6 +124,7 @@ def test_attach_invalidates_the_batch_cache():
     assert (medium.batch_cache_hits, medium.batch_cache_misses) == (0, 5)
 
 
+@requires_numpy
 def test_batch_shells_recycle_through_the_pool():
     kernel, medium, radios, heard = _population(vectorized=True)
     assert medium._batch_pool == []

@@ -1,19 +1,20 @@
 """The neighbour table is byte-identical to the scalar broadcast loop.
 
-The numpy backend resolves every sender's receivers from one neighbour
+The batch pipeline resolves every sender's receivers from one neighbour
 table per (kind, stamp) — or per attach/move version while the kind has
-no moving radios.  Each case below runs one seeded script three ways:
-the scalar reference (``vectorized=False``), the table (numpy), and the
-numpy-free cell batches.  The delivery logs, the frame counters, and the
-medium's RNG stream position afterwards must all agree — the last one is
-the draw-order contract's sharpest check.
+no moving radios.  Each case below runs one seeded script two ways: the
+scalar reference (``vectorized=False``) and the table.  The delivery
+logs, the frame counters, and the medium's RNG stream position afterwards
+must all agree — the last one is the draw-order contract's sharpest
+check.  The table is built with numpy, so without it there is nothing
+here to test.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import pytest
+
+pytest.importorskip("numpy")
 
 from repro.phy.geometry import Position
 from repro.phy.mobility import Linear, Static
@@ -24,17 +25,6 @@ from repro.radio.ble import BleRadio
 from repro.radio.frame import RadioKind
 from repro.radio.medium import Medium
 from repro.sim.kernel import Kernel
-from repro.util import array
-
-
-@contextmanager
-def _python_backend():
-    saved = array.numpy
-    array.numpy = None
-    try:
-        yield
-    finally:
-        array.numpy = saved
 
 
 class _Harness:
@@ -83,7 +73,7 @@ class _Harness:
 
 
 def _parity(script, propagation=None):
-    """Run ``script`` scalar, on the table, and numpy-free; all must agree."""
+    """Run ``script`` scalar and on the table; both must agree."""
     def run(vectorized):
         harness = _Harness(vectorized, propagation)
         script(harness)
@@ -91,10 +81,7 @@ def _parity(script, propagation=None):
 
     scalar = run(False)
     table = run(True)
-    with _python_backend():
-        fallback = run(True)
     assert table == scalar
-    assert fallback == scalar
     assert scalar[1][1] > 0  # the script actually delivered frames
     return scalar
 
