@@ -24,8 +24,8 @@ module at a time; this module builds the structures that let
   picklability check (SHD003).
 
 Everything here is deterministic: modules, functions, and call sites are
-stored and iterated in sorted order, so two runs (or a serial and a
-``--jobs N`` run) produce byte-identical downstream findings.
+stored and iterated in sorted order, so two runs produce byte-identical
+downstream findings.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.scopes import ScopeBuilder, build_scopes
 from repro.analysis.visitor import normalize_path
@@ -46,7 +46,6 @@ __all__ = [
     "ModuleInfo",
     "ProjectGraph",
     "build_project_graph",
-    "module_meta",
     "module_name_for",
 ]
 
@@ -169,9 +168,6 @@ class ModuleInfo:
     tree: ast.Module
     builder: ScopeBuilder
     imports: Dict[str, ImportTarget] = field(default_factory=dict)
-    #: Dotted module names this file imports (including every package
-    #: prefix); intersected with the analyzed set to form the dep graph.
-    dep_names: Set[str] = field(default_factory=set)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     module_body: Optional[FunctionInfo] = None
@@ -179,13 +175,6 @@ class ModuleInfo:
     @property
     def is_package(self) -> bool:
         return self.file_path.endswith("__init__.py")
-
-
-def _record_dep(deps: Set[str], dotted: str) -> None:
-    """Record a dotted import and every package prefix as dep candidates."""
-    parts = dotted.split(".")
-    for end in range(1, len(parts) + 1):
-        deps.add(".".join(parts[:end]))
 
 
 def _relative_base(info_name: str, is_package: bool, level: int) -> str:
@@ -200,20 +189,14 @@ def _relative_base(info_name: str, is_package: bool, level: int) -> str:
 
 
 def collect_imports(info: ModuleInfo) -> None:
-    """Fill ``info.imports`` / ``info.dep_names`` from the module AST.
+    """Fill ``info.imports`` from the module's top-level import statements.
 
-    Top-level statements define the bindings used for cross-module call
-    resolution; function-local imports still contribute *dependency*
-    edges (they affect what the file can reach, hence its cache key) but
-    no module-scope binding.
+    Only top-level statements define the bindings used for cross-module
+    call resolution; function-local imports bind no module-scope name.
     """
-    for node in ast.walk(info.tree):
-        top_level = node in info.tree.body
+    for node in info.tree.body:
         if isinstance(node, ast.Import):
             for alias in node.names:
-                _record_dep(info.dep_names, alias.name)
-                if not top_level:
-                    continue
                 if alias.asname:
                     info.imports[alias.asname] = ImportTarget(
                         "module", alias.name)
@@ -229,14 +212,11 @@ def collect_imports(info: ModuleInfo) -> None:
                 module = node.module or ""
             if not module:
                 continue
-            _record_dep(info.dep_names, module)
             for alias in node.names:
                 if alias.name == "*":
                     continue
-                _record_dep(info.dep_names, f"{module}.{alias.name}")
-                if top_level:
-                    info.imports[alias.asname or alias.name] = ImportTarget(
-                        "symbol", module, alias.name)
+                info.imports[alias.asname or alias.name] = ImportTarget(
+                    "symbol", module, alias.name)
 
 
 class _DefinitionCollector(ast.NodeVisitor):
@@ -329,31 +309,6 @@ class ProjectGraph:
     def __init__(self, modules: Dict[str, ModuleInfo]) -> None:
         self.modules = modules
 
-    # -- dependency graph ---------------------------------------------------
-
-    def direct_deps(self, name: str) -> List[str]:
-        """Analyzed modules ``name`` imports, sorted (self excluded)."""
-        info = self.modules[name]
-        return sorted(
-            dep for dep in info.dep_names
-            if dep != name and dep in self.modules
-        )
-
-    def transitive_deps(self, name: str) -> List[str]:
-        """The sorted transitive import closure of ``name`` (self excluded)."""
-        seen: Set[str] = set()
-        stack = list(self.direct_deps(name))
-        while stack:
-            dep = stack.pop()
-            if dep in seen:
-                continue
-            seen.add(dep)
-            stack.extend(self.direct_deps(dep))
-        seen.discard(name)
-        return sorted(seen)
-
-    # -- symbol resolution --------------------------------------------------
-
     def resolve_symbol(
         self, module: str, symbol: str, _depth: int = 0
     ):
@@ -427,23 +382,6 @@ class ProjectGraph:
         if dotted is None:
             return None
         return self._resolve_dotted(info, dotted, enclosing_class)
-
-
-def module_meta(source: str, path, root) -> Tuple[str, List[str]]:
-    """(module name, sorted dep-name candidates) without a full graph build.
-
-    The dependency-aware cache stores this per file so a warm run can
-    rebuild the import graph without re-parsing unchanged files.
-    """
-    info = ModuleInfo(
-        name=module_name_for(path, root),
-        path=normalize_path(path),
-        file_path=str(path),
-        tree=ast.parse(source, filename=str(path)),
-        builder=None,  # type: ignore[arg-type]  # not needed for meta
-    )
-    collect_imports(info)
-    return info.name, sorted(info.dep_names)
 
 
 def build_project_graph(

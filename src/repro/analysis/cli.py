@@ -6,13 +6,10 @@ Examples::
     python -m repro.analysis src/repro --format json
     python -m repro.analysis src/repro --format github   # CI annotations
     python -m repro.analysis src/repro --format sarif    # code scanning
-    python -m repro.analysis src/repro --jobs 0          # parallel (cpu count)
-    python -m repro.analysis src/repro --no-cache
     python -m repro.analysis src/repro --write-baseline
     python -m repro.analysis --list-rules
 
-Findings go to stdout and are byte-identical between serial, parallel, and
-cache-warm runs; cache statistics go to stderr.  Exit codes: 0 clean, 1 new
+Findings go to stdout; errors go to stderr.  Exit codes: 0 clean, 1 new
 findings, 2 stale waivers only (the baseline lists waivers whose code has
 since been fixed — delete them), 3 bad baseline file.
 """
@@ -21,18 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.baseline import Baseline, BaselineError, format_baseline
-from repro.analysis.cache import (
-    DEFAULT_CACHE_DIR,
-    AnalysisCache,
-    analyze_paths_incremental,
-)
+from repro.analysis.project import analyze_paths
 from repro.analysis.report import (
     render_github,
     render_json,
@@ -57,13 +48,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "determinism (DET: seeded RNG only, no wall clock, no hash()-derived "
         "seeds, no unsorted set iteration, ...), sim-time hygiene (SIM), "
         "fork/pickle safety in the parallel runner (FRK), sharded-engine "
-        "invariants via the whole-program pass (SHD), numpy bit-parity and "
-        "RNG draw order on delivery-log-reaching paths (VEC), and in-repo "
-        "deprecated API use (API).  Per-file findings are joined by "
-        "interprocedural ones: DET taints flow through the project call "
-        "graph and fire at the cross-module call site with the chain in "
-        "the message; VEC parity-sensitivity flows the other way, from the "
-        "delivery-log roots down into their callees.",
+        "invariants via the whole-program pass (SHD), and numpy bit-parity "
+        "and RNG draw order on delivery-log-reaching paths (VEC).  Per-file "
+        "findings are joined by interprocedural ones: DET taints flow "
+        "through the project call graph and fire at the cross-module call "
+        "site with the chain in the message; VEC parity-sensitivity flows "
+        "the other way, from the delivery-log roots down into their "
+        "callees.",
     )
     parser.add_argument(
         "paths",
@@ -97,27 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "code scanning)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="analyze cache misses with N worker processes "
-        "(default: 1 = serial; 0 = cpu count); findings are identical "
-        "whatever N is",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the incremental findings cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help=f"incremental cache directory (default: {DEFAULT_CACHE_DIR}; "
-        "delete it, or bump rules.ANALYSIS_VERSION, to bust)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -139,12 +109,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for path in paths:
         if not Path(path).exists():
             parser.error(f"no such path: {path}")
-    cache = None if args.no_cache else AnalysisCache(args.cache_dir)
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    started = time.perf_counter()
-    findings, stats = analyze_paths_incremental(paths, jobs=jobs, cache=cache)
-    elapsed = time.perf_counter() - started
-    print(f"{stats.render()}, {elapsed:.3f}s", file=sys.stderr)
+    findings = analyze_paths(paths)
     try:
         baseline = Baseline.load(args.baseline)
     except BaselineError as error:

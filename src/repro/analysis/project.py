@@ -32,8 +32,7 @@ taint summaries (:mod:`repro.analysis.taint`), and emits:
   message.
 
 :func:`analyze_paths` here is the package's public entry point: per-file
-findings plus project findings, globally sorted, byte-identical however
-the work was scheduled.
+findings plus project findings, globally sorted.
 """
 
 from __future__ import annotations
@@ -71,8 +70,7 @@ __all__ = [
     "collect_entries",
 ]
 
-#: (file_path, root, source) — the unit the project pass consumes; the
-#: dependency-aware cache builds these from its in-memory reads.
+#: (file_path, root, source) — the unit the project pass consumes.
 ProjectEntry = Tuple[str, str, str]
 
 _TAINT_LEADS = {
@@ -601,13 +599,7 @@ def analyze_project(paths: Sequence) -> List[Finding]:
 
 
 def analyze_paths(paths: Sequence) -> List[Finding]:
-    """Per-file lint + whole-program pass, globally sorted.
-
-    This is the package's serial, uncached reference implementation; the
-    CLI goes through :func:`repro.analysis.cache.analyze_paths_incremental`,
-    which must produce byte-identical findings from any cache state or
-    job count.
-    """
+    """Per-file lint + whole-program pass, globally sorted."""
     entries = collect_entries(paths)
     findings: List[Finding] = []
     for file_path, _root, source in entries:

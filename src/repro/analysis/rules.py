@@ -1,4 +1,4 @@
-"""The analysis rule catalogue: determinism, sim-time, fork-safety, API.
+"""The analysis rule catalogue: the DET, SIM, FRK, SHD and VEC families.
 
 Each rule has a stable code, a short kebab-case name used in reports, a
 statement of the invariant it protects, and the approved alternative.  The
@@ -18,19 +18,15 @@ ordinary Python, not a hazard.
 Anything else that needs an exception takes a per-line waiver in the
 baseline file instead, with a one-line justification (see
 :mod:`repro.analysis.baseline`).
+
+There are no tombstone rules for deleted interfaces: once an interface is
+gone its rule goes too, and a reintroduced use fails at runtime.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, Tuple
-
-#: Bumped whenever the analysis passes change behaviour; folded into the
-#: incremental cache key so stale cached findings can never survive a rule
-#: change (see :mod:`repro.analysis.cache`).
-ANALYSIS_VERSION = 8
-
 
 def _path_matches_prefix(path: str, prefix: str) -> bool:
     """Separator-aware prefix match for exempt/only path scoping.
@@ -61,12 +57,6 @@ class Rule:
     #: When non-empty, the rule fires *only* under these normalized-path
     #: prefixes (e.g. fork-safety rules are runner-scoped).
     only_paths: Tuple[str, ...] = ()
-    #: Lifecycle of the interface an API rule polices.  ``"active"`` rules
-    #: guard a live invariant; ``"deprecating"`` rules flag a shimmed
-    #: interface mid-removal (the shim's own module is exempt).  Once the
-    #: interface is gone its rule goes too: a reintroduced use fails at
-    #: runtime.
-    status: str = "active"
 
     def applies_to(self, path: str) -> bool:
         if any(_path_matches_prefix(path, p) for p in self.exempt_paths):
@@ -327,35 +317,8 @@ _RULE_LIST = [
         "reaches a delivery log",
         exempt_paths=("repro/analysis/",),
     ),
-    # -- API: in-repo deprecated interfaces -----------------------------------
-    Rule(
-        code="API003",
-        name="legacy-spatial-query-kwargs",
-        summary="a spatial query is called with the legacy keyword spelling "
-        "(center= / cutoff=) — the SpatialQuery protocol unified "
-        "World.nodes_within, Medium._candidates and index .query on "
-        "(origin, radius, now)",
-        suggestion="pass origin= / radius= (or positionally) per the "
-        "SpatialQuery protocol in repro.phy.index",
-        # The deprecation shim itself accepts center= to warn on it.
-        exempt_paths=("repro/phy/world.py",),
-        status="deprecating",
-    ),
 ]
 
 #: code -> rule, in catalogue order.
 RULES: Dict[str, Rule] = {rule.code: rule for rule in _RULE_LIST}
 
-
-def _ruleset_digest() -> str:
-    payload = repr((ANALYSIS_VERSION, sorted(
-        (r.code, r.name, r.summary, r.suggestion, r.exempt_paths,
-         r.only_paths, r.status)
-        for r in _RULE_LIST
-    )))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-#: Cache key component: changes whenever the catalogue or ANALYSIS_VERSION
-#: does, so `.repro-analysis-cache/` entries from an older ruleset miss.
-RULESET_VERSION = f"{ANALYSIS_VERSION}:{_ruleset_digest()}"

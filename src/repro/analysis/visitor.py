@@ -11,7 +11,7 @@ Analysis of one module is three passes:
    cannot cross a pickle boundary;
 3. :class:`AnalysisVisitor` (this module) walks the tree with a scope stack
    and emits :class:`~repro.analysis.rules.Finding` objects for the DET,
-   SIM, FRK, and API rule families.
+   SIM and FRK rule families.
 
 Scope-accuracy is the point: a ``List[int]`` parameter that shares a name
 with a set in another function is a list here, shadowing works, and the
@@ -76,11 +76,6 @@ _MIRROR_MUTATING_METHODS = {"move_to", "set_mobility"}
 
 #: WorldNode attributes whose assignment counts the same way.
 _MIRROR_GUARDED_ATTRS = {"mobility", "owner_shard"}
-
-#: Spatial-query entry points unified under the SpatialQuery protocol; the
-#: legacy keyword spellings on them are API003 sinks.
-_SPATIAL_QUERY_METHODS = {"nodes_within", "query", "query_arrays", "_candidates"}
-_LEGACY_SPATIAL_KWARGS = {"center", "cutoff"}
 
 
 def normalize_path(path) -> str:
@@ -279,19 +274,6 @@ class AnalysisVisitor(ast.NodeVisitor):
                     "order; use sorted(...)",
                 )
         if isinstance(node.func, ast.Attribute):
-            if node.func.attr in _SPATIAL_QUERY_METHODS:
-                legacy = sorted(
-                    keyword.arg for keyword in node.keywords
-                    if keyword.arg in _LEGACY_SPATIAL_KWARGS
-                )
-                if legacy:
-                    spelled = ", ".join(f"{name}=" for name in legacy)
-                    self._emit(
-                        "API003", node,
-                        f"legacy spatial-query keyword(s) {spelled} on "
-                        f".{node.func.attr}(); the SpatialQuery protocol "
-                        "spells them (origin, radius, now)",
-                    )
             if node.func.attr in _MIRROR_MUTATING_METHODS:
                 self._emit(
                     "FRK004", node,
@@ -555,17 +537,3 @@ def iter_python_files(root) -> Iterable[Path]:
         return
     yield from sorted(root.rglob("*.py"))
 
-
-def analyze_paths(paths: Sequence) -> List[Finding]:
-    """Lint files/trees; findings sorted by (path, line, col, code).
-
-    Serial and uncached — the CLI goes through
-    :func:`repro.analysis.cache.analyze_paths_incremental` for the cached,
-    parallel version; both produce byte-identical findings.
-    """
-    findings: List[Finding] = []
-    for path in paths:
-        for file_path in iter_python_files(path):
-            findings.extend(analyze_file(file_path))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return findings

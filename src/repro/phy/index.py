@@ -89,8 +89,7 @@ class SpatialQuery(Protocol):
     distance test — and its order is a pure function of the index's
     mutation history and the query arguments (bucket scan order here;
     facades re-sort: the medium by radio attach order, the world by node
-    name).  The legacy keyword spellings (``center=``, ``cutoff=``) are
-    retired and flagged by the API003 lint rule.
+    name).
     """
 
     def query(

@@ -11,7 +11,6 @@ runtime twin of the FRK004 lint rule.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -205,37 +204,20 @@ class World:
 
     def nodes_within(
         self,
-        origin: Optional[WorldNode] = None,
-        radius: float = 0.0,
+        origin: WorldNode,
+        radius: float,
         now: Optional[float] = None,
-        *,
-        center: Optional[WorldNode] = None,
     ) -> List[WorldNode]:
         """All other nodes within ``radius`` meters of ``origin``, by name order.
 
         Follows the :class:`~repro.phy.index.SpatialQuery` protocol
         spelling ``(origin, radius, now)``; ``origin`` is the node at the
         center of the query disk and ``now`` defaults to the kernel clock.
-        The pre-protocol keyword ``center=`` still works under a
-        :class:`DeprecationWarning` (the API003 lint rule flags callers).
 
         Served from the time-aware grid: only nodes in cells overlapping
         the (mobility-inflated) query disk take the exact distance test,
         instead of every node in the world.
         """
-        if center is not None:
-            if origin is not None:
-                raise TypeError("pass origin= or the deprecated center=, not both")
-            warnings.warn(
-                "World.nodes_within(center=...) is deprecated; the "
-                "SpatialQuery protocol spells it nodes_within(origin, "
-                "radius, now)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            origin = center
-        if origin is None:
-            raise TypeError("nodes_within() missing the origin node")
         if now is None:
             now = self.kernel.now
         point = origin.mobility.position_at(now)

@@ -16,13 +16,6 @@ BAD_SOURCE = "def seed_for(name):\n    return hash(name)\n"
 CLEAN_SOURCE = "def seed_for(name):\n    return len(name)\n"
 
 
-@pytest.fixture(autouse=True)
-def _isolated_cwd(tmp_path, monkeypatch):
-    # The default cache dir is CWD-relative; keep test runs from leaving
-    # .repro-analysis-cache/ droppings in the repo checkout.
-    monkeypatch.chdir(tmp_path)
-
-
 @pytest.fixture
 def bad_file(tmp_path):
     path = tmp_path / "bad.py"
@@ -80,7 +73,7 @@ def test_json_format(bad_file, tmp_path, capsys):
 
 def test_sarif_format_is_valid_and_lists_the_catalogue(bad_file, tmp_path,
                                                        capsys):
-    from repro.analysis import RULES
+    from repro.analysis.rules import RULES
 
     code = main([str(bad_file), "--baseline", str(tmp_path / "none.txt"),
                  "--format", "sarif"])
@@ -144,35 +137,14 @@ def test_github_format_clean_tree_prints_verdict(tmp_path, capsys):
     assert "clean" in out
 
 
-def test_cache_warm_second_run_hits_and_is_identical(bad_file, tmp_path, capsys):
-    cache_dir = tmp_path / "cache"
-    argv = [str(bad_file), "--baseline", str(tmp_path / "none.txt"),
-            "--cache-dir", str(cache_dir)]
-    assert main(argv) == EXIT_FINDINGS
-    cold = capsys.readouterr()
-    assert main(argv) == EXIT_FINDINGS
-    warm = capsys.readouterr()
-    assert warm.out == cold.out          # findings byte-identical
-    assert "0 hit(s)" in cold.err
-    assert "1 hit(s)" in warm.err
-    assert cache_dir.is_dir()
-
-
-def test_no_cache_never_writes_the_cache_dir(bad_file, tmp_path):
-    cache_dir = tmp_path / "cache"
-    main([str(bad_file), "--baseline", str(tmp_path / "none.txt"),
-          "--no-cache", "--cache-dir", str(cache_dir)])
-    assert not cache_dir.exists()
-
-
-def test_jobs_zero_means_cpu_count_and_matches_serial(bad_file, tmp_path, capsys):
-    argv = [str(bad_file), "--baseline", str(tmp_path / "none.txt"),
-            "--no-cache"]
-    main(argv + ["--jobs", "1"])
-    serial = capsys.readouterr().out
-    main(argv + ["--jobs", "0"])
-    parallel = capsys.readouterr().out
-    assert parallel == serial
+def test_a_run_leaves_the_working_directory_untouched(bad_file, tmp_path,
+                                                     monkeypatch):
+    workdir = tmp_path / "workdir"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    assert main([str(bad_file), "--baseline",
+                 str(tmp_path / "none.txt")]) == EXIT_FINDINGS
+    assert list(workdir.iterdir()) == []
 
 
 def test_list_rules(capsys):

@@ -2,7 +2,7 @@
 
 import ast
 
-from repro.analysis import build_scopes
+from repro.analysis.scopes import build_scopes
 from repro.analysis.dataflow import (
     SIM_TIME,
     WALL_CLOCK,

@@ -8,12 +8,8 @@ them at the ``repro`` package and the path-scoped rules apply.
 
 from pathlib import Path
 
-from repro.analysis import analyze_paths, analyze_project
-from repro.analysis.callgraph import (
-    build_project_graph,
-    module_meta,
-    module_name_for,
-)
+from repro.analysis.callgraph import build_project_graph, module_name_for
+from repro.analysis.project import analyze_paths, analyze_project
 
 FIXTURES = Path(__file__).parent / "fixtures"
 XMOD = FIXTURES / "xmod"
@@ -173,18 +169,6 @@ def test_module_names_root_at_the_repro_package(tmp_path):
     tree.mkdir()
     (tree / "helpers.py").write_text("", encoding="utf-8")
     assert module_name_for(tree / "helpers.py", tree) == "helpers"
-
-
-def test_module_meta_reports_import_candidates(tmp_path):
-    module, deps = module_meta(
-        "import os.path\nfrom a.b import c\n\n\ndef f():\n"
-        "    from x import y\n",
-        tmp_path / "m.py", tmp_path,
-    )
-    assert module == "m"
-    assert "os" in deps and "os.path" in deps
-    assert "a.b" in deps and "a.b.c" in deps
-    assert "x" in deps  # function-local imports still count as deps
 
 
 def test_resolution_follows_re_export_chains(tmp_path):

@@ -8,7 +8,8 @@ family is scoped to runner paths (``Rule.only_paths``).
 
 from pathlib import Path
 
-from repro.analysis import RULES, analyze_file, analyze_source
+from repro.analysis.rules import RULES
+from repro.analysis.visitor import analyze_file, analyze_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -145,23 +146,8 @@ def test_frk004_mirror_mutation_fixture():
     assert not analyze_source(source, "repro/phy/world.py")
 
 
-def test_api003_spatial_kwargs_fixture():
-    findings = analyze_file(FIXTURES / "api003_spatial_kwargs.py")
-    assert keys(findings) == [
-        ("API003", 5),   # nodes_within(center=...)
-        ("API003", 6),   # _candidates(..., cutoff=...)
-    ]
-    # The protocol spellings on lines 7-8 stay clean.
-
-
-def test_api003_exempts_the_deprecation_shim():
-    source = "def f(world, n):\n    return world.nodes_within(center=n, radius=1.0)\n"
-    assert analyze_source(source, "repro/apps/example.py")
-    assert not analyze_source(source, "repro/phy/world.py")
-
-
 def test_every_rule_has_a_fixture_exercising_it():
-    from repro.analysis import analyze_project
+    from repro.analysis.project import analyze_project
 
     codes = set()
     for fixture in FIXTURES.rglob("*.py"):

@@ -4,7 +4,11 @@ A driver that touches process-global RNG state must fail its cell with a
 clear error naming the offending call site; clean drivers run unchanged.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,8 @@ from repro.analysis.tripwire import GlobalRngError
 from repro.runner.engine import execute_jobs
 from repro.runner.jobs import Job
 from repro.util.rng import SeededRng
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _dirty_driver(seed: int) -> float:
@@ -51,3 +57,21 @@ def test_tripwire_escape_hatch():
         [_job(_dirty_driver, "dirty")], serial=True, tripwire=False
     )
     assert isinstance(outcomes[0].result, float)
+
+
+def test_engines_import_the_tripwire_without_the_analyzer():
+    # The engines arm the tripwire; loading it must not pull in the
+    # static-analysis passes (a fresh interpreter sees the import cost).
+    code = (
+        "import sys\n"
+        "import repro.runner.engine, repro.sim.sharded.engine\n"
+        "print(sorted(sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        check=True, capture_output=True, text=True,
+    ).stdout
+    for name in ("project", "visitor", "callgraph"):
+        assert f"'repro.analysis.{name}'" not in out, out
+    assert "'repro.analysis.tripwire'" in out, out

@@ -8,9 +8,10 @@ where the banned ufunc sits two calls away from the delivery root.
 
 from pathlib import Path
 
-from repro.analysis import analyze_file, analyze_paths, analyze_project
 from repro.analysis.callgraph import build_project_graph
+from repro.analysis.project import analyze_paths, analyze_project
 from repro.analysis.taint import compute_parity_chains, is_parity_root
+from repro.analysis.visitor import analyze_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 XVEC = FIXTURES / "xvec"
@@ -166,3 +167,30 @@ def test_production_tree_is_vec_clean():
     src = Path(__file__).resolve().parents[2] / "src" / "repro"
     vec = [f for f in analyze_paths([src]) if f.code.startswith("VEC")]
     assert vec == [], "\n".join(f.render() for f in vec)
+
+
+def test_renaming_the_only_root_caller_drops_the_callee_vec001(tmp_path):
+    # Parity-sensitivity flows from a delivery-log root down to its
+    # callees: the VEC001 lands in loss.py but exists only because
+    # broadcast() calls it.
+    tree = tmp_path / "proj"
+    tree.mkdir()
+    (tree / "loss.py").write_text(
+        "import numpy as np\n\n\ndef attenuate(gains):\n"
+        "    return np.power(10.0, gains)\n",
+        encoding="utf-8",
+    )
+    entry = tree / "entry.py"
+    entry.write_text(
+        "import loss\n\n\ndef broadcast(frame, candidates):\n"
+        "    return loss.attenuate(candidates)\n",
+        encoding="utf-8",
+    )
+    assert keys(analyze_paths([tree])) == [("VEC001", "loss.py", 5)]
+
+    entry.write_text(
+        "import loss\n\n\ndef prepare(frame, candidates):\n"
+        "    return loss.attenuate(candidates)\n",
+        encoding="utf-8",
+    )
+    assert analyze_paths([tree]) == []
