@@ -12,7 +12,10 @@ cell per medium configuration (``indexed`` uses the epoch-bucketed
 time-aware grid, ``linear`` the exhaustive scan).  Both cells must produce
 *identical* results — same counters, same delivery log digest — which is
 the machine-checked form of the index's "prunes work, never outcomes"
-contract under mobility (and, via the runner, of serial == parallel).
+contract under mobility (and, via the runner, of serial == parallel);
+``tests/runner/test_determinism.py`` asserts both at two seeds.  The grid
+checks parity, not speed: the repo benchmark (``perfbench/``) times the
+medium.
 """
 
 from __future__ import annotations

@@ -60,9 +60,9 @@ def city_scenario(node_count: int = 10_000, seed: int = 61) -> ScenarioSpec:
 
     The arena scales area-linearly with the population (reference density:
     10k nodes on a 4 km square), so record volume grows linearly, not
-    quadratically, as the scenario is scaled up.  This is the
-    ``benchmarks/test_perf_sharded.py`` full configuration and the
-    tree's standing large-scenario profiling gauntlet.
+    quadratically, as the scenario is scaled up.  The repo benchmark's
+    sparse-city and city-sharded workloads run it at full size
+    (``python3 perfbench/run.py --workload sparse-city``).
     """
     arena_m = 4_000.0 * (node_count / 10_000) ** 0.5
     return ScenarioSpec(

@@ -70,13 +70,13 @@ class CandidateArrays:
 class SpatialQuery(Protocol):
     """The one spelling of a range query, shared tree-wide.
 
-    Every spatial lookup — index ``query``/``query_arrays``,
-    ``Medium._candidates``, ``World.nodes_within`` — takes the same three
-    parameters under the same names:
+    Every spatial lookup — index ``query``/``query_arrays`` and
+    ``Medium._candidates`` — takes the same three parameters under the
+    same names:
 
     ``origin``
         The :class:`~repro.phy.geometry.Position` at the center of the
-        query disk (facades may also accept a node and resolve it).
+        query disk.
     ``radius``
         The disk radius in meters.
     ``now``
@@ -88,8 +88,7 @@ class SpatialQuery(Protocol):
     within ``radius`` of ``origin`` at ``now`` — callers apply the exact
     distance test — and its order is a pure function of the index's
     mutation history and the query arguments (bucket scan order here;
-    facades re-sort: the medium by radio attach order, the world by node
-    name).
+    the medium re-sorts by radio attach order).
     """
 
     def query(
@@ -261,15 +260,6 @@ class UniformGridIndex:
             return
         self.remove(item)
         self.insert(item, position)
-
-    def position_of(self, item: Hashable) -> Optional[Position]:
-        """The stored position of a bucketed ``item`` (None when roaming)."""
-        cell = self._where[item]
-        if cell is None:
-            return None
-        bucket = self._cells[cell]
-        index = bucket.items.index(item)
-        return Position(bucket.xs[index], bucket.ys[index])
 
     def query(
         self, origin: Position, radius: float, now: float = 0.0

@@ -12,21 +12,11 @@ runtime twin of the FRK004 lint rule.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from operator import attrgetter
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.phy.geometry import Position
-from repro.phy.index import TimeAwareGridIndex
 from repro.phy.mobility import MobilityModel, Static
 from repro.sim.kernel import Kernel
-
-#: Grid granularity for the world's own range queries.  Sits between the
-#: BLE (30 m) and WiFi (100 m) ranges so either query touches few cells.
-WORLD_GRID_CELL_M = 50.0
-
-#: Hoisted sort key for :meth:`World.nodes_within` — building a lambda per
-#: query showed up in mobility-heavy profiles.
-_NODE_NAME = attrgetter("name")
 
 
 class MirrorNodeError(RuntimeError):
@@ -97,16 +87,14 @@ class WorldNode:
 class World:
     """Registry of :class:`WorldNode` objects sharing one kernel clock.
 
-    ``use_spatial_index=False`` keeps every range query on the exhaustive
-    linear scan — the reference behaviour equality tests compare against.
+    The world keeps no spatial index of its own: range queries belong to
+    the radio medium, which indexes radios per technology and re-buckets
+    them on the move signal (:meth:`add_move_listener`).
     """
 
-    def __init__(self, kernel: Kernel, use_spatial_index: bool = True) -> None:
+    def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
         self._nodes: Dict[str, WorldNode] = {}
-        self._index: Optional[TimeAwareGridIndex] = (
-            TimeAwareGridIndex(WORLD_GRID_CELL_M) if use_spatial_index else None
-        )
         # Immutable tuple: snapshot semantics for listeners firing during
         # iteration without copying the list on every single move event.
         self._move_listeners: Tuple[Callable[[WorldNode], None], ...] = ()
@@ -122,8 +110,6 @@ class World:
         self._move_listeners = self._move_listeners + (listener,)
 
     def _mobility_changed(self, node: WorldNode) -> None:
-        if self._index is not None:
-            self._index.update(node, node.mobility)
         for listener in self._move_listeners:
             listener(node)
 
@@ -144,8 +130,6 @@ class World:
             raise ValueError("provide position or mobility, not both")
         node = WorldNode(self, name, mobility)
         self._nodes[name] = node
-        if self._index is not None:
-            self._index.insert(node, mobility)
         return node
 
     def add_mirror_node(
@@ -185,9 +169,7 @@ class World:
         """Unregister a node (e.g. a device leaving the scenario)."""
         if name not in self._nodes:
             raise KeyError(f"no node named {name!r}")
-        node = self._nodes.pop(name)
-        if self._index is not None:
-            self._index.remove(node)
+        del self._nodes[name]
 
     def node(self, name: str) -> WorldNode:
         """Look up a node by name."""
@@ -201,36 +183,3 @@ class World:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def nodes_within(
-        self,
-        origin: WorldNode,
-        radius: float,
-        now: Optional[float] = None,
-    ) -> List[WorldNode]:
-        """All other nodes within ``radius`` meters of ``origin``, by name order.
-
-        Follows the :class:`~repro.phy.index.SpatialQuery` protocol
-        spelling ``(origin, radius, now)``; ``origin`` is the node at the
-        center of the query disk and ``now`` defaults to the kernel clock.
-
-        Served from the time-aware grid: only nodes in cells overlapping
-        the (mobility-inflated) query disk take the exact distance test,
-        instead of every node in the world.
-        """
-        if now is None:
-            now = self.kernel.now
-        point = origin.mobility.position_at(now)
-        if self._index is None:
-            candidates: Iterator[WorldNode] = iter(self._nodes.values())
-        else:
-            candidates = iter(self._index.query(point, radius, now))
-        return sorted(
-            (
-                node
-                for node in candidates
-                if node is not origin
-                and point.distance_to(node.mobility.position_at(now)) <= radius
-            ),
-            key=_NODE_NAME,
-        )

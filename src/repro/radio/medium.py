@@ -21,9 +21,9 @@ Vectorized broadcast and the batch delivery pipeline
 ----------------------------------------------------
 
 With numpy installed, and by default (``vectorized=True``), a broadcast
-runs in four batch stages, each a separately overridable seam.  Without
-numpy the medium runs the scalar reference loop instead — the one
-numpy-free path; ``Medium`` makes that choice once, at construction.
+runs in four batch stages.  Without numpy the medium runs the scalar
+reference loop instead — the one numpy-free path; ``Medium`` makes that
+choice once, at construction.
 
 1. **query** — :meth:`Medium._build_table` resolves *every* radio's
    receivers at once: one neighbour table per technology, built from a

@@ -33,11 +33,6 @@ from repro.runner.jobs import Job, jobs_for
 #: pair are additive optional keys of v1.)
 BENCH_SCHEMA = "repro.runner/bench.v1"
 
-#: Back-compat alias: the engine's per-cell outcome type was ``JobOutcome``
-#: before the artifact redesign folded identity + result + wall into one
-#: structured :class:`CellResult`.
-JobOutcome = CellResult
-
 
 @dataclass
 class RunReport:

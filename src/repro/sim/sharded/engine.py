@@ -122,8 +122,8 @@ def run_serial(spec: ScenarioSpec, vectorized: bool = True) -> SimOutcome:
 
     ``vectorized=False`` forces the scalar one-receiver-at-a-time
     broadcast loop; the delivery digest is identical either way (the
-    batch pipeline's RNG draw-order contract), which the vectorized
-    benchmark asserts.
+    batch pipeline's RNG draw-order contract), which
+    ``tests/sim/sharded/test_engine.py`` asserts.
     """
     started = time.perf_counter()
     models = build_models(spec)

@@ -1,12 +1,10 @@
-"""The uniform-grid spatial index and its wiring into the world."""
+"""The uniform-grid and time-aware spatial indexes."""
 
 import pytest
 
 from repro.phy.geometry import Position
 from repro.phy.index import UniformGridIndex
 from repro.phy.mobility import Linear, Static
-from repro.phy.world import World
-from repro.sim.kernel import Kernel
 
 
 def test_query_returns_superset_within_radius():
@@ -77,52 +75,6 @@ def test_negative_coordinates_bucket_correctly():
 def test_cell_size_must_be_positive():
     with pytest.raises(ValueError):
         UniformGridIndex(0.0)
-
-
-# -- world wiring ------------------------------------------------------------
-
-
-def test_nodes_within_tracks_move_to():
-    world = World(Kernel(seed=1))
-    center = world.add_node("center", position=Position(0.0, 0.0))
-    other = world.add_node("other", position=Position(500.0, 0.0))
-    assert world.nodes_within(center, 50.0) == []
-    other.move_to(Position(10.0, 0.0))
-    assert world.nodes_within(center, 50.0) == [other]
-    other.move_to(Position(400.0, 0.0))
-    assert world.nodes_within(center, 50.0) == []
-
-
-def test_nodes_within_sees_mobile_nodes():
-    kernel = Kernel(seed=1)
-    world = World(kernel)
-    center = world.add_node("center", position=Position(0.0, 0.0))
-    walker = world.add_node(
-        "walker", mobility=Linear(Position(200.0, 0.0), (-10.0, 0.0))
-    )
-    assert world.nodes_within(center, 30.0) == []
-    kernel.run_until(18.0)  # walker now at x=20
-    assert world.nodes_within(center, 30.0) == [walker]
-
-
-def test_mobile_node_pinned_by_move_to_is_reindexed():
-    kernel = Kernel(seed=1)
-    world = World(kernel)
-    center = world.add_node("center", position=Position(0.0, 0.0))
-    walker = world.add_node(
-        "walker", mobility=Linear(Position(200.0, 0.0), (-10.0, 0.0))
-    )
-    walker.move_to(Position(5.0, 0.0))
-    assert type(walker.mobility) is Static
-    assert world.nodes_within(center, 30.0) == [walker]
-
-
-def test_remove_node_leaves_index_consistent():
-    world = World(Kernel(seed=1))
-    center = world.add_node("center", position=Position(0.0, 0.0))
-    world.add_node("doomed", position=Position(5.0, 0.0))
-    world.remove_node("doomed")
-    assert world.nodes_within(center, 50.0) == []
 
 
 # -- roaming bookkeeping: O(1) swap-pop removal -------------------------------

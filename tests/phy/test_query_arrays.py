@@ -154,13 +154,3 @@ def test_time_aware_memo_invalidates_on_mutation():
     # And a later timestamp re-resolves every mover.
     arrays = index.query_arrays(origin, 50.0, now=6.0)
     assert (arrays.xs[0], arrays.ys[0]) == (20.0, 16.0)
-
-
-def test_uniform_grid_position_of_reports_stored_coordinates():
-    index = UniformGridIndex(cell_size=10.0)
-    index.insert("s", Position(3.0, 4.0))
-    index.insert("r", None)
-    assert index.position_of("s") == Position(3.0, 4.0)
-    assert index.position_of("r") is None
-    index.update("s", Position(3.5, 4.5))  # same cell: stored floats move
-    assert index.position_of("s") == Position(3.5, 4.5)

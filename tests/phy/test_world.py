@@ -65,20 +65,6 @@ def test_set_mobility_switches_model(kernel, world):
     assert node.position == Position(6, 0)
 
 
-def test_nodes_within_radius_sorted_by_name(world):
-    center = world.add_node("center", position=Position(0, 0))
-    world.add_node("far", position=Position(100, 0))
-    world.add_node("b-near", position=Position(3, 0))
-    world.add_node("a-near", position=Position(0, 4))
-    names = [node.name for node in world.nodes_within(center, 10.0)]
-    assert names == ["a-near", "b-near"]
-
-
-def test_nodes_within_excludes_center(world):
-    center = world.add_node("center", position=Position(0, 0))
-    assert world.nodes_within(center, 10.0) == []
-
-
 def test_iteration(world):
     world.add_node("a", position=Position(0, 0))
     world.add_node("b", position=Position(1, 1))

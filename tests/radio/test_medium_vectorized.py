@@ -165,7 +165,7 @@ def test_vectorized_is_the_default_and_scalar_is_reachable(kernel, world):
 def test_no_index_medium_falls_back_to_scalar_broadcast(kernel):
     """Without a spatial index there is no grid to batch over: the
     vectorized medium must quietly use the scalar loop and still deliver."""
-    world = World(kernel, use_spatial_index=False)
+    world = World(kernel)
     medium = Medium(kernel, world, use_spatial_index=False, vectorized=True)
     a_node = world.add_node("a", position=Position(0.0, 0.0))
     b_node = world.add_node("b", position=Position(10.0, 0.0))

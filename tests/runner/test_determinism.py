@@ -48,6 +48,10 @@ def test_parallel_equals_serial_at_two_seeds(experiment):
     driver = DRIVERS[experiment]
     for seed, grid in zip(seeds, parallel.results_by_seed()):
         assert grid == driver(seed=seed)
+    if experiment == "mobility":
+        # The indexed cell equals the linear-scan cell field for field.
+        for indexed, linear in parallel.results_by_seed():
+            assert indexed == linear
 
 
 def test_runner_timings_are_recorded():

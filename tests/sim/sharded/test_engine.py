@@ -29,6 +29,11 @@ def test_serial_run_delivers_and_digests(serial_outcome):
     assert serial_outcome.record_count > 0
     assert serial_outcome.record_count == serial_outcome.frames_delivered
     assert len(serial_outcome.digest) == 16
+    # The scalar reference loop gives the batch pipeline's bytes; the
+    # sharded runs below must match the same digest.
+    scalar = run_serial(SPEC, vectorized=False)
+    assert scalar.digest == serial_outcome.digest
+    assert scalar.record_count == serial_outcome.record_count
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4, 7])
