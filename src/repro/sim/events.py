@@ -2,7 +2,9 @@
 
 The scheduler hands out an :class:`EventHandle` for every scheduled callback;
 holding the handle allows cancellation, which the kernel implements lazily
-(cancelled handles stay in the heap but are skipped when popped).
+(cancelled handles stay in the heap but are skipped when popped).  The heap
+orders ``(time, seq, handle)`` tuples, so handles themselves are never
+compared.
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ class EventHandle:
         if scheduler is not None:
             self._scheduler = None
             scheduler._event_cancelled()
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        # heapq ordering: time first, then insertion order for determinism.
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self._cancelled else "pending"

@@ -33,7 +33,8 @@ class Kernel:
     @property
     def now(self) -> float:
         """Current simulation time in seconds."""
-        return self.scheduler.now
+        # The scheduler's clock field in one hop, not through its property.
+        return self.scheduler._now
 
     # -- scheduling --------------------------------------------------------
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.errors import SchedulingInPastError
 from repro.sim.events import EventHandle
@@ -14,11 +14,13 @@ class EventScheduler:
 
     Two events scheduled for the same instant fire in the order they were
     scheduled (FIFO), which keeps simulations reproducible regardless of heap
-    internals.
+    internals.  Heap entries are ``(time, seq, handle)`` tuples: ``heapq``
+    orders them in C, and since ``seq`` is unique no handle is ever
+    compared.
     """
 
     def __init__(self) -> None:
-        self._heap: List[EventHandle] = []
+        self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = 0
         self._now = 0.0
         self._pending = 0  # live count of non-cancelled events in the heap
@@ -43,20 +45,23 @@ class EventScheduler:
 
     def schedule_at(self, time: float, callback: Callable[[], Any]) -> EventHandle:
         """Schedule ``callback`` to run at absolute simulation ``time``."""
-        if time < self._now:
+        # Written as ``not >=`` so a NaN time, which compares false with
+        # everything, is rejected too instead of corrupting the heap.
+        if not time >= self._now:
             raise SchedulingInPastError(
                 f"cannot schedule at t={time} (now is t={self._now})"
             )
-        handle = EventHandle(time, self._seq, callback)
+        seq = self._seq
+        handle = EventHandle(time, seq, callback)
         handle._scheduler = self
-        self._seq += 1
+        self._seq = seq + 1
         self._pending += 1
-        heapq.heappush(self._heap, handle)
+        heapq.heappush(self._heap, (time, seq, handle))
         return handle
 
     def schedule(self, delay: float, callback: Callable[[], Any]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SchedulingInPastError(f"delay must be >= 0, got {delay}")
         return self.schedule_at(self._now + delay, callback)
 
@@ -65,7 +70,7 @@ class EventScheduler:
         self._drop_cancelled_head()
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def step(self) -> bool:
         """Pop and execute the next event. Returns False when none remain.
@@ -76,10 +81,10 @@ class EventScheduler:
         self._drop_cancelled_head()
         if not self._heap:
             return False
-        handle = heapq.heappop(self._heap)
+        time, _, handle = heapq.heappop(self._heap)
         self._pending -= 1
         handle._scheduler = None  # fired: a later cancel() must not decrement
-        self._now = handle.time
+        self._now = time
         callback, handle.callback = handle.callback, None
         assert callback is not None  # non-cancelled head always has one
         callback()
@@ -96,39 +101,52 @@ class EventScheduler:
         batch is skipped; an event *scheduled* for the same instant by a
         batch callback lands in the next drain — exactly where per-event
         pops would have put it, since its sequence number is higher than the
-        whole batch's.  Returns the number of callbacks executed.
+        whole batch's.  If a callback raises, the batch events that have
+        not run go back on the heap under their original ``(time, seq)``
+        before the exception propagates, so resuming runs them as
+        :meth:`step` would have.  Returns the number of callbacks executed.
         """
         self._drop_cancelled_head()
-        if not self._heap:
-            return 0
         heap = self._heap
-        handle = heapq.heappop(heap)
+        if not heap:
+            return 0
+        time, _, handle = heapq.heappop(heap)
         self._pending -= 1
         handle._scheduler = None
-        self._now = handle.time
-        if not heap or heap[0].time != handle.time:
+        self._now = time
+        if not heap or heap[0][0] != time:
             # Lone event at this instant: skip the batch list entirely.
             callback, handle.callback = handle.callback, None
             assert callback is not None
             callback()
             return 1
         batch = [handle]
-        time = handle.time
-        while heap and heap[0].time == time:
-            head = heapq.heappop(heap)
-            if head.cancelled:  # already discounted from _pending by cancel()
+        while heap and heap[0][0] == time:
+            head = heapq.heappop(heap)[2]
+            if head._cancelled:  # already discounted from _pending by cancel()
                 continue
             self._pending -= 1
             head._scheduler = None
             batch.append(head)
         executed = 0
-        for handle in batch:
-            if handle.cancelled:  # cancelled by an earlier batch callback
-                continue
-            callback, handle.callback = handle.callback, None
-            assert callback is not None
-            callback()
-            executed += 1
+        try:
+            for handle in batch:
+                if handle._cancelled:  # cancelled by an earlier batch callback
+                    continue
+                callback, handle.callback = handle.callback, None
+                assert callback is not None
+                callback()
+                executed += 1
+        except BaseException:
+            # A handle that ran (or raised) has had its callback taken, so
+            # the uncancelled ones still holding one were never reached.
+            for handle in batch:
+                if handle._cancelled or handle.callback is None:
+                    continue
+                handle._scheduler = self
+                self._pending += 1
+                heapq.heappush(heap, (handle.time, handle.seq, handle))
+            raise
         return executed
 
     def run_until(self, deadline: float) -> None:
@@ -138,7 +156,7 @@ class EventScheduler:
         drains early, so periodic measurements (e.g. energy integration) have
         a well-defined window.
         """
-        if deadline < self._now:
+        if not deadline >= self._now:  # also rejects NaN
             raise SchedulingInPastError(
                 f"cannot run until t={deadline} (now is t={self._now})"
             )
@@ -157,7 +175,7 @@ class EventScheduler:
         next window and stay in the heap.  The clock still ends exactly at
         ``deadline``, so a follow-up ``run_before(t2)`` picks up seamlessly.
         """
-        if deadline < self._now:
+        if not deadline >= self._now:  # also rejects NaN
             raise SchedulingInPastError(
                 f"cannot run before t={deadline} (now is t={self._now})"
             )
@@ -174,5 +192,6 @@ class EventScheduler:
             pass
 
     def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][2]._cancelled:
+            heapq.heappop(heap)

@@ -24,11 +24,15 @@ from __future__ import annotations
 
 import hashlib
 import multiprocessing
+import operator
 import time
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import tripwire
+from repro.net.addresses import MacAddress
 from repro.radio.base import Device
 from repro.radio.ble import BleRadio
 from repro.radio.medium import Medium
@@ -99,19 +103,30 @@ def canonical_records(records: Sequence[Record]) -> List[Record]:
 
 def delivery_digest(records: Sequence[Record]) -> str:
     """SHA-256 over the struct-packed canonical record stream."""
+    return _digest_ordered(canonical_records(records))
+
+
+def _digest_ordered(ordered: Sequence[Record]) -> str:
     hasher = hashlib.sha256()
     pack = RECORD_STRUCT.pack
-    for record in canonical_records(records):
+    for record in ordered:
         hasher.update(pack(*record))
     return hasher.hexdigest()[:16]
 
 
-def _check_distinct(records: Sequence[Record]) -> None:
-    if len(set(records)) != len(records):
+def _checked_digest(records: Sequence[Record]) -> str:
+    """:func:`delivery_digest`, after checking no delivery was recorded twice.
+
+    Duplicates sit next to each other in canonical order, so the one sort
+    serves both the check and the digest.
+    """
+    ordered = canonical_records(records)
+    if any(map(operator.eq, ordered, islice(ordered, 1, None))):
         raise BoundaryProtocolError(
             "duplicate delivery records after merge — a delivery was "
             "observed in more than one shard"
         )
+    return _digest_ordered(ordered)
 
 
 # -- serial reference --------------------------------------------------------
@@ -131,10 +146,15 @@ def run_serial(spec: ScenarioSpec, vectorized: bool = True) -> SimOutcome:
     world = World(kernel)
     medium = Medium(kernel, world, vectorized=vectorized)
     records: List[Record] = []
+    scheduler = kernel.scheduler
 
-    def on_scan(payload: bytes, distance: float, receiver: int) -> None:
+    # Bound per radio with functools.partial, and reading the scheduler's
+    # clock field rather than the Kernel.now property: each delivery enters
+    # this one Python frame and no other.
+    def on_scan(receiver: int, payload: bytes, mac: MacAddress,
+                distance: float) -> None:
         round_index, sender = PAYLOAD_STRUCT.unpack(payload)
-        records.append((kernel.now, sender, receiver, round_index, distance))
+        records.append((scheduler._now, sender, receiver, round_index, distance))
 
     radios: List[BleRadio] = []
     for index, model in enumerate(models):
@@ -142,9 +162,7 @@ def run_serial(spec: ScenarioSpec, vectorized: bool = True) -> SimOutcome:
         device = Device(kernel, node)
         radio = device.add_radio(BleRadio(device, medium))
         radio.enable()
-        radio.start_scanning(
-            lambda payload, mac, distance, me=index: on_scan(payload, distance, me)
-        )
+        radio.start_scanning(partial(on_scan, index))
         radios.append(radio)
     for round_index, fire_at in enumerate(spec.round_times()):
         for index, radio in enumerate(radios):
@@ -153,12 +171,11 @@ def run_serial(spec: ScenarioSpec, vectorized: bool = True) -> SimOutcome:
                 fire_at, lambda r=radio, p=payload: r.advertise_once(p)
             )
     kernel.run_until(spec.duration_s)
-    _check_distinct(records)
     return SimOutcome(
         mode="serial",
         shards=1,
         record_count=len(records),
-        digest=delivery_digest(records),
+        digest=_checked_digest(records),
         frames_sent=medium.frames_sent,
         frames_delivered=medium.frames_delivered,
         frames_dropped=medium.frames_dropped,
@@ -196,7 +213,7 @@ def _merge_outcome(
     shard_results: List[ShardResult],
     wall_s: float,
 ) -> SimOutcome:
-    _check_distinct(records)
+    digest = _checked_digest(records)
     total_delivered = sum(result.frames_delivered for result in shard_results)
     if len(records) != total_delivered:
         raise BoundaryProtocolError(
@@ -207,7 +224,7 @@ def _merge_outcome(
         mode=mode,
         shards=shards,
         record_count=len(records),
-        digest=delivery_digest(records),
+        digest=digest,
         frames_sent=sum(result.frames_sent for result in shard_results),
         frames_delivered=total_delivered,
         frames_dropped=sum(result.frames_dropped for result in shard_results),

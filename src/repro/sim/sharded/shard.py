@@ -19,8 +19,10 @@ so the canonical record streams match bit-for-bit.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Tuple
 
+from repro.net.addresses import MacAddress
 from repro.phy.world import World, WorldNode
 from repro.radio.base import Device
 from repro.radio.ble import BleRadio
@@ -133,24 +135,24 @@ class ShardRuntime:
 
     # -- population management --------------------------------------------
 
-    def _record_scan(self, payload: bytes, distance: float, receiver: int) -> None:
+    def _record_scan(self, receiver: int, payload: bytes, mac: MacAddress,
+                     distance: float) -> None:
+        # The scan handler of every owned radio (bound with partial): reads
+        # the scheduler's clock field, not the Kernel.now property frame.
         round_index, sender = PAYLOAD_STRUCT.unpack(payload)
         self._records.append(
-            (self.kernel.now, sender, receiver, round_index, distance)
+            (self.kernel.scheduler._now, sender, receiver, round_index, distance)
         )
 
     def _record_delivery(self, frame: Frame, distance: float, receiver: int) -> None:
-        self._record_scan(frame.payload, distance, receiver)
+        self._record_scan(receiver, frame.payload, frame.sender.address, distance)
 
     def _add_owned(self, index: int) -> None:
         node = self.world.add_node(node_name(index), mobility=self.models[index])
         device = Device(self.kernel, node)
         radio = device.add_radio(BleRadio(device, self.medium))
         radio.enable()
-        radio.start_scanning(
-            lambda payload, mac, distance, me=index:
-                self._record_scan(payload, distance, me)
-        )
+        radio.start_scanning(partial(self._record_scan, index))
         self._owned[index] = radio
 
     def _remove_owned(self, index: int) -> None:

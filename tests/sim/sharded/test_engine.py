@@ -5,7 +5,12 @@ import pytest
 from repro.phy.geometry import Position
 from repro.phy.mobility import MobilityModel
 from repro.sim.sharded import ScenarioSpec, run_serial, run_sharded
-from repro.sim.sharded.engine import canonical_records, delivery_digest
+from repro.sim.sharded.boundary import BoundaryProtocolError
+from repro.sim.sharded.engine import (
+    _checked_digest,
+    canonical_records,
+    delivery_digest,
+)
 from repro.sim.sharded.spec import build_models, population_speed_cap
 
 SPEC = ScenarioSpec(
@@ -79,6 +84,18 @@ def test_canonical_merge_is_order_insensitive():
     ]
     assert delivery_digest(records) == delivery_digest(list(reversed(records)))
     assert canonical_records(records)[0] == (1.0, 3, 2, 0, 5.0)
+
+
+@pytest.mark.parametrize("copy_at", [0, 1, 2])
+def test_checked_digest_rejects_a_record_seen_twice(copy_at):
+    records = [
+        (2.0, 1, 2, 0, 10.0),
+        (1.0, 3, 4, 0, 5.0),
+        (1.0, 3, 2, 0, 5.0),
+    ]
+    assert _checked_digest(records) == delivery_digest(records)
+    with pytest.raises(BoundaryProtocolError, match="duplicate delivery"):
+        _checked_digest(records + [records[copy_at]])
 
 
 class _Teleporter(MobilityModel):

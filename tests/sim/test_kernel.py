@@ -1,7 +1,10 @@
 """Kernel facade: time, periodic tasks, run helpers."""
 
+import math
+
 import pytest
 
+from repro.sim.errors import SchedulingInPastError
 from repro.sim.kernel import Kernel
 from repro.sim.process import Completion
 
@@ -140,6 +143,19 @@ def test_run_window_fires_strictly_before_end(kernel):
     assert kernel.now == 2.0
     kernel.run_window(3.0)
     assert fired == ["inside", "boundary"]
+
+
+def test_run_window_rejects_nan_and_fires_nothing(kernel):
+    fired = []
+    seen = []
+    kernel.call_at(1.0, lambda: fired.append("event"))
+    kernel.add_barrier_hook(seen.append)
+    with pytest.raises(SchedulingInPastError):
+        kernel.run_window(math.nan)
+    assert fired == [] and seen == []
+    assert kernel.now == 0.0
+    kernel.run_window(2.0)
+    assert fired == ["event"] and seen == [2.0]
 
 
 def test_barrier_hooks_run_at_every_window_end(kernel):

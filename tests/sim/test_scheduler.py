@@ -1,7 +1,9 @@
 """Event scheduler: ordering, cancellation, clock semantics."""
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.errors import SchedulingInPastError
 from repro.sim.scheduler import EventScheduler
@@ -253,3 +255,213 @@ def test_batched_run_matches_stepwise_run_exactly():
     while stepwise.step():
         pass
     assert batched_fired == stepwise_fired
+
+
+class Boom(Exception):
+    pass
+
+
+def test_step_batch_requeues_the_rest_of_a_batch_when_a_callback_raises():
+    def build():
+        scheduler = EventScheduler()
+        fired = []
+
+        def boom():
+            fired.append("boom")
+            raise Boom()
+
+        scheduler.schedule_at(1.0, lambda: fired.append("a"))
+        scheduler.schedule_at(1.0, boom)
+        scheduler.schedule_at(1.0, lambda: fired.append("c"))
+        scheduler.schedule_at(1.5, lambda: fired.append("d"))
+        return scheduler, fired
+
+    batched, batched_fired = build()
+    with pytest.raises(Boom):
+        batched.run_until(2.0)
+    stepwise, stepwise_fired = build()
+    with pytest.raises(Boom):
+        while stepwise.step():
+            pass
+    # The event after the raising one is still queued, at its own instant.
+    assert batched_fired == stepwise_fired == ["a", "boom"]
+    assert len(batched) == len(stepwise) == 2
+    assert batched.now == stepwise.now == 1.0
+    assert batched.peek_time() == 1.0
+    batched.run_until(2.0)
+    while stepwise.step():
+        pass
+    assert batched_fired == stepwise_fired == ["a", "boom", "c", "d"]
+    assert len(batched) == 0
+
+
+def test_requeued_batch_events_stay_cancellable():
+    scheduler = EventScheduler()
+    fired = []
+
+    def boom():
+        raise Boom()
+
+    scheduler.schedule_at(1.0, boom)
+    later = scheduler.schedule_at(1.0, lambda: fired.append("later"))
+    with pytest.raises(Boom):
+        scheduler.step_batch()
+    assert len(scheduler) == 1
+    later.cancel()
+    assert len(scheduler) == 0
+    scheduler.run()
+    assert fired == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda scheduler: scheduler.schedule_at(math.nan, lambda: None),
+    lambda scheduler: scheduler.schedule(math.nan, lambda: None),
+    lambda scheduler: scheduler.run_until(math.nan),
+    lambda scheduler: scheduler.run_before(math.nan),
+], ids=["schedule_at", "schedule", "run_until", "run_before"])
+def test_nan_time_is_rejected_and_leaves_the_scheduler_intact(call):
+    scheduler = EventScheduler()
+    fired = []
+    scheduler.schedule_at(1.0, lambda: fired.append(1.0))
+    scheduler.schedule_at(0.5, lambda: fired.append(0.5))
+    with pytest.raises(SchedulingInPastError):
+        call(scheduler)
+    assert fired == []
+    assert scheduler.now == 0.0
+    assert len(scheduler) == 2
+    scheduler.run()
+    assert fired == [0.5, 1.0]
+
+
+# -- model test: the tuple heap against a sorted reference list ---------------
+
+OFFSETS = st.sampled_from([0.0, 0.5, 1.0])  # few values: many ties
+EVENT_IDS = st.integers(0, 12)  # handles are numbered in schedule order
+_schedule = st.tuples(
+    st.sampled_from(["at", "in"]),
+    OFFSETS,
+    st.one_of(st.none(), EVENT_IDS),  # event it cancels on firing
+    st.one_of(st.none(), OFFSETS),  # delay of a child it schedules on firing
+    st.sampled_from([False] * 5 + [True]),  # whether it raises on firing
+)
+_ops = st.lists(st.one_of(
+    _schedule,
+    st.tuples(st.just("cancel"), EVENT_IDS),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("batch")),
+    st.tuples(st.just("until"), OFFSETS),
+), max_size=40)
+
+
+class _Reference:
+    """A plain list kept sorted by ``(time, seq)``; ids are seq numbers."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.seq = 0
+        self.pending = []
+        self.actions = {}
+        self.fired = []
+
+    def schedule_at(self, time, action):
+        self.actions[self.seq] = action
+        self.pending.append((time, self.seq))
+        self.pending.sort()
+        self.seq += 1
+
+    def cancel(self, ident):
+        self.pending = [key for key in self.pending if key[1] != ident]
+
+    def step(self):
+        if not self.pending:
+            return False
+        time, ident = self.pending.pop(0)
+        self.now = time
+        self.fired.append((ident, time))
+        victim, child, raises = self.actions[ident]
+        if victim is not None:
+            self.cancel(victim)
+        if child is not None:
+            self.schedule_at(self.now + child, (None, None, False))
+        if raises:
+            raise Boom()
+        return True
+
+    def step_batch(self):
+        # Every event pending at the head instant when the batch starts;
+        # same-instant events scheduled during it wait for the next batch.
+        if not self.pending:
+            return 0
+        time, bound = self.pending[0][0], self.seq
+        executed = 0
+        while (self.pending and self.pending[0][0] == time
+               and self.pending[0][1] < bound):
+            executed += 1
+            self.step()
+        return executed
+
+    def run_until(self, deadline):
+        while self.pending and self.pending[0][0] <= deadline:
+            self.step_batch()
+        self.now = deadline
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Boom:
+        return "boom"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ops)
+def test_model_tuple_heap_matches_sorted_reference(ops):
+    scheduler = EventScheduler()
+    reference = _Reference()
+    handles = []
+    fired = []
+
+    def callback_for(action):
+        ident = len(handles)  # the handle about to be appended
+        victim, child, raises = action
+
+        def callback():
+            fired.append((ident, scheduler.now))
+            if victim is not None and victim < len(handles):
+                handles[victim].cancel()
+            if child is not None:
+                handles.append(scheduler.schedule(
+                    child, callback_for((None, None, False))))
+            if raises:
+                raise Boom()
+
+        return callback
+
+    for op in ops:
+        kind = op[0]
+        if kind in ("at", "in"):
+            _, offset, victim, child, raises = op
+            action = (victim, child, raises)
+            reference.schedule_at(reference.now + offset, action)
+            if kind == "at":
+                handles.append(scheduler.schedule_at(
+                    scheduler.now + offset, callback_for(action)))
+            else:
+                handles.append(scheduler.schedule(offset, callback_for(action)))
+        elif kind == "cancel":
+            if op[1] < len(handles):
+                handles[op[1]].cancel()
+                reference.cancel(op[1])
+        elif kind == "step":
+            assert _outcome(scheduler.step) == _outcome(reference.step)
+        elif kind == "batch":
+            assert _outcome(scheduler.step_batch) == _outcome(reference.step_batch)
+        else:
+            deadline = reference.now + op[1]
+            assert _outcome(lambda: scheduler.run_until(deadline)) == \
+                _outcome(lambda: reference.run_until(deadline))
+        assert fired == reference.fired
+        assert scheduler.now == reference.now
+        assert len(scheduler) == len(reference.pending)
+        assert scheduler.peek_time() == (
+            reference.pending[0][0] if reference.pending else None)
